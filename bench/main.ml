@@ -88,12 +88,10 @@ let run_guarded e fmt =
 
 (* Wall-clock heartbeat on stderr: on with --progress or when stderr
    is a TTY; never touches the byte-identical stdout stream. *)
-let progress_flag = ref false
-
-let progress_enabled () =
-  !progress_flag || (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false)
-
-let run_experiments fmt =
+let run_experiments ~progress fmt =
+  let progress =
+    progress || (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false)
+  in
   Format.fprintf fmt
     "Search-based Job Scheduling for Parallel Computer Workloads@.";
   Format.fprintf fmt
@@ -111,14 +109,14 @@ let run_experiments fmt =
   let t_start = Simcore.Clock.monotonic_s () in
   List.iteri
     (fun i e ->
-      if progress_enabled () then
+      if progress then
         Printf.eprintf "[%d/%d] %s ...\n%!" (i + 1) n e.Experiments.Registry.id;
       let t0 = Simcore.Clock.monotonic_s () in
       run_guarded e fmt;
       let now = Simcore.Clock.monotonic_s () in
       Format.fprintf fmt "[%s done in %.1fs]@." e.Experiments.Registry.id
         (now -. t0);
-      if progress_enabled () then
+      if progress then
         Printf.eprintf "[%d/%d] %s done in %.1fs, ETA %.0fs\n%!" (i + 1) n
           e.Experiments.Registry.id (now -. t0)
           ((now -. t_start) /. float_of_int (i + 1) *. float_of_int (n - i - 1)))
@@ -486,69 +484,18 @@ let perf_smoke path =
       parallel_determinism_smoke ();
       Printf.printf "perf-smoke: OK\n"
 
-(* Consume "-j N" / "--jobs N" / "--trace[=path]" / "--report[=dir]" /
-   "--validate" / "--progress" anywhere on the command line; the rest
-   is matched positionally below. *)
-let trace_path = ref None
-let report_dir = ref None
-let validate_flag = ref false
-
-let prescan_jobs argv =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | ("-j" | "--jobs") :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some j when j >= 1 ->
-            Experiments.Common.set_jobs j;
-            go acc rest
-        | _ ->
-            Printf.eprintf "invalid -j value %S (want an int >= 1)\n" v;
-            exit 2)
-    | ("-j" | "--jobs") :: [] ->
-        prerr_endline "-j needs a value";
-        exit 2
-    | "--trace" :: rest ->
-        trace_path := Some "bench.trace.jsonl";
-        go acc rest
-    | a :: rest when String.length a > 8 && String.sub a 0 8 = "--trace=" ->
-        trace_path := Some (String.sub a 8 (String.length a - 8));
-        go acc rest
-    | "--report" :: rest ->
-        report_dir := Some "bench-report";
-        go acc rest
-    | a :: rest when String.length a > 9 && String.sub a 0 9 = "--report=" ->
-        report_dir := Some (String.sub a 9 (String.length a - 9));
-        go acc rest
-    | "--validate" :: rest ->
-        validate_flag := true;
-        go acc rest
-    | "--progress" :: rest ->
-        progress_flag := true;
-        go acc rest
-    | a :: rest -> go (a :: acc) rest
-  in
-  Array.of_list (go [] (Array.to_list argv))
-
 (* Write the three trace artifacts next to [path]: the decision JSONL
    and its Chrome view (simulated time, byte-identical for any
    REPRO_JOBS) plus the pool worker spans (wall-clock, for eyeballing
    parallel efficiency only). *)
 let write_traces path =
-  let base =
-    match Filename.chop_suffix_opt ~suffix:".jsonl" path with
-    | Some b -> b
-    | None -> path
+  let chrome_path = Experiments.Common.chrome_path path in
+  let traced = Experiments.Common.traced_runs () in
+  Experiments.Common.write_traces ~jsonl:path ~chrome:chrome_path traced;
+  let pool_path =
+    Option.value (Filename.chop_suffix_opt ~suffix:".jsonl" path) ~default:path
+    ^ ".pool.json"
   in
-  let oc = open_out path in
-  let ofmt = Format.formatter_of_out_channel oc in
-  Experiments.Common.pp_traces ofmt;
-  Format.pp_print_flush ofmt ();
-  close_out oc;
-  let chrome_path = base ^ ".chrome.json" in
-  let oc = open_out chrome_path in
-  output_string oc (Experiments.Common.chrome_trace_document ());
-  close_out oc;
-  let pool_path = base ^ ".pool.json" in
   let oc = open_out pool_path in
   let spans = Simcore.Pool.spans (Experiments.Common.pool ()) in
   let t0 =
@@ -575,9 +522,8 @@ let write_traces path =
     spans;
   output_string oc "\n]}\n";
   close_out oc;
-  let traced = List.length (Experiments.Common.traced_runs ()) in
   Printf.printf "wrote %s (%d traced runs), %s, %s (%d pool spans)\n" path
-    traced chrome_path pool_path (List.length spans)
+    (List.length traced) chrome_path pool_path (List.length spans)
 
 (* Run-health report pages: one per month/load/estimator cell, its
    policies overlaid, plus a cross-policy index and the raw series
@@ -585,70 +531,10 @@ let write_traces path =
    files are byte-identical for any REPRO_JOBS. *)
 let write_reports dir =
   let runs = Experiments.Common.series_runs () in
-  (* Cache keys are month/load/estimator/policy with the month label
-     itself containing one '/' (e.g. 7/03): the cell is the first four
-     segments, the policy spec the rest. *)
-  let split key =
-    match String.split_on_char '/' key with
-    | m1 :: m2 :: load :: rstar :: (_ :: _ as policy) ->
-        (String.concat "/" [ m1; m2; load; rstar ], String.concat "/" policy)
-    | _ -> (key, key)
-  in
-  let sanitize s =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.' -> c
-        | _ -> '_')
-      s
-  in
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (key, s) ->
-      let cell, label = split key in
-      match Hashtbl.find_opt tbl cell with
-      | None ->
-          order := cell :: !order;
-          Hashtbl.replace tbl cell [ (label, s) ]
-      | Some rs -> Hashtbl.replace tbl cell ((label, s) :: rs))
-    runs;
-  let sections =
-    List.rev_map
-      (fun cell ->
-        {
-          Sim.Report.href = sanitize cell ^ ".html";
-          title = cell;
-          runs = List.rev (Hashtbl.find tbl cell);
-        })
-      !order
-  in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let write path content =
-    let oc = open_out path in
-    output_string oc content;
-    close_out oc
-  in
-  List.iter
-    (fun s ->
-      write
-        (Filename.concat dir s.Sim.Report.href)
-        (Sim.Report.page
-           ~title:("Run health: " ^ s.Sim.Report.title)
-           ~subtitle:"month / load / estimator cell, one run per policy"
-           s.Sim.Report.runs))
-    sections;
-  write
-    (Filename.concat dir "index.html")
-    (Sim.Report.index ~title:"Run-health reports" sections);
-  let oc = open_out (Filename.concat dir "series.jsonl") in
-  let ofmt = Format.formatter_of_out_channel oc in
-  Experiments.Common.pp_series ofmt;
-  Format.pp_print_flush ofmt ();
-  close_out oc;
+  let pages = Experiments.Common.write_reports dir runs in
   Printf.printf
     "wrote %d report pages, index.html and series.jsonl (%d runs) to %s\n"
-    (List.length sections) (List.length runs) dir
+    pages (List.length runs) dir
 
 (* Aggregate the validation reports of every cached run; non-zero exit
    on any violation so @check-smoke can gate on it. *)
@@ -669,36 +555,69 @@ let report_validation fmt =
     exit 1
   end
 
-let () =
-  let fmt = Format.std_formatter in
-  let argv = prescan_jobs Sys.argv in
-  (match !trace_path with
-  | None -> ()
-  | Some _ ->
-      Experiments.Common.set_tracing true;
-      Simcore.Pool.set_tracing (Experiments.Common.pool ()) true);
-  if !report_dir <> None then Experiments.Common.set_series true;
-  if !validate_flag then Experiments.Common.set_validation true;
-  (match argv with
-  | [| _ |] ->
+let run_bench jobs trace report validate progress json smoke =
+  Option.iter Experiments.Common.set_jobs jobs;
+  if trace <> None then begin
+    Experiments.Common.set_tracing true;
+    Simcore.Pool.set_tracing (Experiments.Common.pool ()) true
+  end;
+  if report <> None then Experiments.Common.set_series true;
+  if validate then Experiments.Common.set_validation true;
+  (match (json, smoke) with
+  | Some path, None -> perf_json path
+  | None, Some path -> perf_smoke path
+  | Some _, Some _ ->
+      prerr_endline "--perf-json and --perf-smoke are exclusive";
+      exit 2
+  | None, None ->
+      let fmt = Format.std_formatter in
       let t0 = Simcore.Clock.monotonic_s () in
-      run_experiments fmt;
+      run_experiments ~progress fmt;
       if Sys.getenv_opt "REPRO_SKIP_MICRO" = None then microbench fmt;
       Format.fprintf fmt "@.total bench time: %.1fs@."
         (Simcore.Clock.monotonic_s () -. t0);
-      Option.iter write_traces !trace_path;
-      Option.iter write_reports !report_dir;
+      Option.iter write_traces trace;
+      Option.iter write_reports report;
       (* Summary on stderr so @check-smoke can silence the tables and
          still show it. *)
-      if !validate_flag then report_validation Format.err_formatter
-  | [| _; "--perf-json" |] -> perf_json "BENCH_search_hotpath.json"
-  | [| _; "--perf-json"; path |] -> perf_json path
-  | [| _; "--perf-smoke" |] -> perf_smoke "BENCH_search_hotpath.json"
-  | [| _; "--perf-smoke"; path |] -> perf_smoke path
-  | _ ->
-      prerr_endline
-        "usage: main.exe [-j N] [--trace[=path]] [--report[=dir]] \
-         [--validate] [--progress] [--perf-json [path] | --perf-smoke \
-         [path]]";
-      exit 2);
+      if validate then report_validation Format.err_formatter);
   Experiments.Common.shutdown_pool ()
+
+let () =
+  let open Cmdliner in
+  let jobs =
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some j when j >= 1 -> Ok j
+            | _ ->
+                Error
+                  (`Msg
+                    (Printf.sprintf "invalid -j value %S (want an int >= 1)" s))),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt (some positive) None
+         & info [ "j"; "jobs" ] ~docv:"N"
+             ~doc:"Domain-pool width (also REPRO_JOBS).")
+  in
+  let path_flag name ~default ~doc =
+    Arg.(value & opt ~vopt:(Some default) (some string) None
+         & info [ name ] ~docv:"PATH" ~doc)
+  in
+  let flag name ~doc = Arg.(value & flag & info [ name ] ~doc) in
+  let term =
+    Term.(const run_bench $ jobs
+          $ path_flag "trace" ~default:"bench.trace.jsonl"
+              ~doc:"Record and write the decision trace (see the header)."
+          $ path_flag "report" ~default:"bench-report"
+              ~doc:"Write run-health report pages into this directory."
+          $ flag "validate" ~doc:"Validate every simulated schedule."
+          $ flag "progress" ~doc:"Print a progress heartbeat on stderr."
+          $ path_flag "perf-json" ~default:"BENCH_search_hotpath.json"
+              ~doc:"Measure the search hot path instead of the tables."
+          $ path_flag "perf-smoke" ~default:"BENCH_search_hotpath.json"
+              ~doc:"Check the search hot path against a baseline JSON.")
+  in
+  let info = Cmd.info "main.exe" ~doc:"reproduction bench harness" in
+  exit (Cmd.eval (Cmd.v info term))

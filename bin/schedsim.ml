@@ -77,28 +77,31 @@ let policy_opt =
            ~doc:(Printf.sprintf "Scheduling policy. Examples: %s."
                    (String.concat ", " Experiments.Policy_spec.known)))
 
+(* Bad input ends a command with one line on stderr and exit 1. *)
+let fail fmt =
+  Format.kasprintf
+    (fun e ->
+      Format.eprintf "error: %s@." e;
+      exit 1)
+    fmt
+
 let load_trace ~month ~swf ~scale ~seed ~rho =
-  let base =
+  let trace =
     match (month, swf) with
     | Some profile, None ->
-        let config =
-          { Workload.Generator.default_config with scale; seed }
-        in
-        Ok (Workload.Generator.month ~config profile)
+        let config = { Workload.Generator.default_config with scale; seed } in
+        Workload.Generator.month ~config profile
     | None, Some path -> (
         match Workload.Swf.of_file path with
-        | Ok r -> Ok r.Workload.Swf.trace
-        | Error e -> Error (Printf.sprintf "cannot parse %s: %s" path e))
-    | _ -> Error "exactly one of --month or --swf is required"
+        | Ok r -> r.Workload.Swf.trace
+        | Error e -> fail "cannot parse %s: %s" path e)
+    | _ -> fail "exactly one of --month or --swf is required"
   in
-  Result.map
-    (fun trace ->
-      match rho with
-      | None -> trace
-      | Some target ->
-          Workload.Trace.scale_load trace
-            ~capacity:Workload.Month_profile.capacity ~target)
-    base
+  match rho with
+  | None -> trace
+  | Some target ->
+      Workload.Trace.scale_load trace ~capacity:Workload.Month_profile.capacity
+        ~target
 
 (* --- months --- *)
 
@@ -119,15 +122,10 @@ let generate_cmd =
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output SWF path.")
   in
   let run month scale seed rho output =
-    match load_trace ~month ~swf:None ~scale ~seed ~rho with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok trace ->
-        Workload.Swf.to_file output trace
-          ~comments:[ "; generated by schedsim" ];
-        Format.fprintf fmt "wrote %s: %s@." output
-          (Workload.Trace.concat_stats trace)
+    let trace = load_trace ~month ~swf:None ~scale ~seed ~rho in
+    Workload.Swf.to_file output trace ~comments:[ "; generated by schedsim" ];
+    Format.fprintf fmt "wrote %s: %s@." output
+      (Workload.Trace.concat_stats trace)
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a calibrated synthetic month as SWF.")
@@ -137,24 +135,49 @@ let generate_cmd =
 
 let mix_cmd =
   let run month swf scale seed =
-    match load_trace ~month ~swf ~scale ~seed ~rho:None with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok trace ->
-        let mix =
-          Workload.Mix_report.of_trace
-            ~capacity:Workload.Month_profile.capacity trace
-        in
-        Format.fprintf fmt "%a@.%a@.@.%a"
-          (fun f -> Workload.Mix_report.pp_table3_row f ~label:"mix")
-          mix
-          (fun f -> Workload.Mix_report.pp_table4_row f ~label:"mix")
-          mix Workload.Arrival_stats.pp
-          (Workload.Arrival_stats.of_trace trace)
+    let trace = load_trace ~month ~swf ~scale ~seed ~rho:None in
+    let mix =
+      Workload.Mix_report.of_trace ~capacity:Workload.Month_profile.capacity
+        trace
+    in
+    Format.fprintf fmt "%a@.%a@.@.%a"
+      (fun f -> Workload.Mix_report.pp_table3_row f ~label:"mix")
+      mix
+      (fun f -> Workload.Mix_report.pp_table4_row f ~label:"mix")
+      mix Workload.Arrival_stats.pp
+      (Workload.Arrival_stats.of_trace trace)
   in
   Cmd.v (Cmd.info "mix" ~doc:"Print the Table 3/4-style job-mix report.")
     Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt)
+
+(* --- the simulating subcommands --- *)
+
+(* What simulate, trace, report, gantt and validate share: the workload
+   (generated or SWF), the policy and the estimator, loaded once, or a
+   one-line diagnosis and exit 1. *)
+let simulation =
+  let load month swf scale seed rho spec budget rstar =
+    let trace = load_trace ~month ~swf ~scale ~seed ~rho in
+    let machine = Cluster.Machine.titan in
+    (match
+       List.filter
+         (fun j -> not (Cluster.Machine.fits machine j))
+         (Array.to_list (Workload.Trace.jobs trace))
+     with
+    | [] -> ()
+    | first :: _ as wide ->
+        fail "%d jobs wider than the %d-node machine (first: job %d)"
+          (List.length wide) machine.Cluster.Machine.nodes
+          first.Workload.Job.id);
+    match Experiments.Policy_spec.parse ~budget spec with
+    | Ok policy -> (trace, policy, rstar)
+    | Error e -> fail "%s" e
+  in
+  Term.(const load $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
+        $ policy_opt $ budget_opt $ rstar_opt)
+
+let simulating name ~doc run extra =
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ simulation $ extra)
 
 (* --- simulate --- *)
 
@@ -164,42 +187,29 @@ let simulate_cmd =
          & info [ "export" ] ~docv:"FILE"
              ~doc:"Write per-job outcomes of the measured window to a CSV file.")
   in
-  let run month swf scale seed rho spec budget rstar export =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
-    in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        let run = Sim.Run.simulate ~r_star:rstar ~policy trace in
-        Format.fprintf fmt "policy:    %s@." run.Sim.Run.policy_name;
-        Format.fprintf fmt "workload:  %s@." (Workload.Trace.concat_stats trace);
-        Format.fprintf fmt "measures:  %a@." Metrics.Aggregate.pp
-          run.Sim.Run.aggregate;
-        Format.fprintf fmt "decisions: %d (%.2fs wall clock)@."
-          run.Sim.Run.decisions run.Sim.Run.wall_clock;
-        Format.fprintf fmt "utilization: %.1f%% of node-time in window@."
-          (100.0 *. run.Sim.Run.utilization);
-        Format.fprintf fmt "@.per-class average wait (hours):@.%a"
-          Metrics.Class_matrix.pp run.Sim.Run.class_matrix;
-        match export with
-        | None -> ()
-        | Some path ->
-            Metrics.Export.to_csv path run.Sim.Run.measured;
-            Format.fprintf fmt "@.wrote %d outcome rows to %s@."
-              (List.length run.Sim.Run.measured)
-              path
+  let run (trace, policy, rstar) export =
+    let run = Sim.Run.simulate ~r_star:rstar ~policy trace in
+    Format.fprintf fmt "policy:    %s@." run.Sim.Run.policy_name;
+    Format.fprintf fmt "workload:  %s@." (Workload.Trace.concat_stats trace);
+    Format.fprintf fmt "measures:  %a@." Metrics.Aggregate.pp
+      run.Sim.Run.aggregate;
+    Format.fprintf fmt "decisions: %d (%.2fs wall clock)@."
+      run.Sim.Run.decisions run.Sim.Run.wall_clock;
+    Format.fprintf fmt "utilization: %.1f%% of node-time in window@."
+      (100.0 *. run.Sim.Run.utilization);
+    Format.fprintf fmt "@.per-class average wait (hours):@.%a"
+      Metrics.Class_matrix.pp run.Sim.Run.class_matrix;
+    match export with
+    | None -> ()
+    | Some path ->
+        Metrics.Export.to_csv path run.Sim.Run.measured;
+        Format.fprintf fmt "@.wrote %d outcome rows to %s@."
+          (List.length run.Sim.Run.measured)
+          path
   in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"Simulate one policy over a month or SWF trace and report measures.")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt $ export_opt)
+  simulating "simulate"
+    ~doc:"Simulate one policy over a month or SWF trace and report measures."
+    run export_opt
 
 (* --- trace --- *)
 
@@ -217,80 +227,44 @@ let trace_cmd =
                    the JSONL path; open in chrome://tracing or \
                    ui.perfetto.dev).")
   in
-  let run month swf scale seed rho spec budget rstar output chrome =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
+  let run (trace, policy, rstar) (output, chrome) =
+    let log = Sim.Decision_log.create ~policy:policy.Sched.Policy.name () in
+    let run = Sim.Run.simulate ~record:[ Log log ] ~r_star:rstar ~policy trace in
+    let chrome_path =
+      Option.value chrome ~default:(Experiments.Common.chrome_path output)
     in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        let log =
-          Sim.Decision_log.create ~policy:policy.Sched.Policy.name ()
-        in
-        let run = Sim.Run.simulate ~log ~r_star:rstar ~policy trace in
-        let oc = open_out output in
-        let ofmt = Format.formatter_of_out_channel oc in
-        Sim.Decision_log.pp_jsonl ofmt log;
-        Format.pp_print_flush ofmt ();
-        close_out oc;
-        let chrome_path =
-          match chrome with
-          | Some p -> p
-          | None ->
-              (match Filename.chop_suffix_opt ~suffix:".jsonl" output with
-              | Some base -> base
-              | None -> output)
-              ^ ".chrome.json"
-        in
-        let oc = open_out chrome_path in
-        output_string oc "{\"traceEvents\":[\n";
-        let events = Sim.Decision_log.chrome_events log in
-        List.iteri
-          (fun i ev ->
-            if i > 0 then output_string oc ",\n";
-            output_string oc ev)
-          events;
-        output_string oc "\n]}\n";
-        close_out oc;
-        let searched =
-          List.filter
-            (fun d ->
-              d.Sim.Decision_log.searched && d.Sim.Decision_log.budget > 0)
-            (Sim.Decision_log.decisions log)
-        in
-        Format.fprintf fmt "policy:    %s@." run.Sim.Run.policy_name;
-        Format.fprintf fmt "decisions: %d recorded, %d dropped@."
-          (Sim.Decision_log.recorded log)
-          (Sim.Decision_log.dropped log);
-        (match
-           Array.of_list
-             (List.map
-                (fun d -> float_of_int d.Sim.Decision_log.nodes)
-                searched)
-         with
-        | [||] -> ()
-        | nodes ->
-            Format.fprintf fmt
-              "search:    nodes/decision p50 %.0f, p99 %.0f, max %.0f@."
-              (Simcore.Stats.percentile nodes 50.0)
-              (Simcore.Stats.percentile nodes 99.0)
-              (Simcore.Stats.max nodes));
-        Format.fprintf fmt "wrote %s and %s@." output chrome_path
+    Experiments.Common.write_traces ~jsonl:output ~chrome:chrome_path
+      [ ("", log) ];
+    let searched =
+      List.filter
+        (fun d -> d.Sim.Decision_log.searched && d.Sim.Decision_log.budget > 0)
+        (Sim.Decision_log.decisions log)
+    in
+    Format.fprintf fmt "policy:    %s@." run.Sim.Run.policy_name;
+    Format.fprintf fmt "decisions: %d recorded, %d dropped@."
+      (Sim.Decision_log.recorded log)
+      (Sim.Decision_log.dropped log);
+    (match
+       Array.of_list
+         (List.map (fun d -> float_of_int d.Sim.Decision_log.nodes) searched)
+     with
+    | [||] -> ()
+    | nodes ->
+        Format.fprintf fmt
+          "search:    nodes/decision p50 %.0f, p99 %.0f, max %.0f@."
+          (Simcore.Stats.percentile nodes 50.0)
+          (Simcore.Stats.percentile nodes 99.0)
+          (Simcore.Stats.max nodes));
+    Format.fprintf fmt "wrote %s and %s@." output chrome_path
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Simulate one policy and export the per-decision event log \
-             (decision time, queue length, search effort, jobs started) as \
-             JSONL plus a Chrome trace_event view on the simulated-time \
-             axis.  Output is deterministic: byte-identical for any \
-             REPRO_JOBS setting.")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt $ output $ chrome)
+  simulating "trace"
+    ~doc:"Simulate one policy and export the per-decision event log \
+          (decision time, queue length, search effort, jobs started) as \
+          JSONL plus a Chrome trace_event view on the simulated-time \
+          axis.  Output is deterministic: byte-identical for any \
+          REPRO_JOBS setting."
+    run
+    Term.(product output chrome)
 
 (* --- report --- *)
 
@@ -310,154 +284,98 @@ let report_cmd =
                    the cumulative excess signal (default 0: all wait \
                    accumulates).")
   in
-  let run month swf scale seed rho spec budget rstar output threshold =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
+  let run (trace, policy, rstar) (output, threshold) =
+    let series =
+      Sim.Series.create ~threshold ~policy:policy.Sched.Policy.name ()
     in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        let series =
-          Sim.Series.create ~threshold ~policy:policy.Sched.Policy.name ()
-        in
-        let metrics = Simcore.Metrics.create ~enabled:true () in
-        Option.iter
-          (fun m -> Simcore.Metrics.set_enabled m true)
-          policy.Sched.Policy.metrics;
-        let run =
-          Sim.Run.simulate ~series ~metrics ~r_star:rstar ~policy trace
-        in
-        let base =
-          match Filename.chop_suffix_opt ~suffix:".html" output with
-          | Some base -> base
-          | None -> output
-        in
-        let label = run.Sim.Run.policy_name in
-        let write path content =
-          let oc = open_out path in
-          output_string oc content;
-          close_out oc
-        in
-        write output
+    let metrics = Simcore.Metrics.create ~enabled:true () in
+    let run =
+      Sim.Run.simulate ~record:[ Series series; Metrics metrics ] ~r_star:rstar
+        ~policy trace
+    in
+    let base =
+      Option.value (Filename.chop_suffix_opt ~suffix:".html" output)
+        ~default:output
+    in
+    let label = run.Sim.Run.policy_name in
+    Experiments.Common.write_file output (fun f ->
+        Format.pp_print_string f
           (Sim.Report.page
              ~title:(Printf.sprintf "Run health: %s" label)
              ~subtitle:
                (Printf.sprintf "%s, %s"
                   (Workload.Trace.concat_stats trace)
                   (Sim.Engine.r_star_name rstar))
-             [ (label, series) ]);
-        let jsonl_path = base ^ ".series.jsonl" in
-        let buf = Buffer.create (1 lsl 14) in
-        let bfmt = Format.formatter_of_buffer buf in
-        Sim.Series.pp_jsonl bfmt series;
-        Format.pp_print_flush bfmt ();
-        write jsonl_path (Buffer.contents buf);
-        let om_path = base ^ ".om" in
-        Buffer.clear buf;
-        let registries =
-          metrics
-          :: Option.to_list
-               (Option.map Fun.id policy.Sched.Policy.metrics)
-        in
-        Simcore.Metrics.pp_openmetrics bfmt registries;
-        Format.pp_print_flush bfmt ();
-        write om_path (Buffer.contents buf);
-        Format.fprintf fmt "policy:    %s@." label;
-        Format.fprintf fmt "series:    %d observations, %d samples (stride %d)@."
-          (Sim.Series.observed series)
-          (Sim.Series.length series)
-          (Sim.Series.stride series);
-        List.iter
-          (fun r ->
-            Format.fprintf fmt "%-14s last %.1f, avg %.1f, range [%.1f, %.1f]@."
-              r.Sim.Series.label r.Sim.Series.last r.Sim.Series.avg
-              r.Sim.Series.lo r.Sim.Series.hi)
-          (Sim.Series.summary series);
-        Format.fprintf fmt "wrote %s, %s and %s@." output jsonl_path om_path
+             [ (label, series) ]));
+    let jsonl_path = base ^ ".series.jsonl" in
+    Experiments.Common.write_file jsonl_path (fun f ->
+        Sim.Series.pp_jsonl f series);
+    let om_path = base ^ ".om" in
+    Experiments.Common.write_file om_path (fun f ->
+        Simcore.Metrics.pp_openmetrics f
+          (metrics :: Option.to_list policy.Sched.Policy.metrics));
+    Format.fprintf fmt "policy:    %s@." label;
+    Format.fprintf fmt "series:    %d observations, %d samples (stride %d)@."
+      (Sim.Series.observed series)
+      (Sim.Series.length series)
+      (Sim.Series.stride series);
+    List.iter
+      (fun r ->
+        Format.fprintf fmt "%-14s last %.1f, avg %.1f, range [%.1f, %.1f]@."
+          r.Sim.Series.label r.Sim.Series.last r.Sim.Series.avg
+          r.Sim.Series.lo r.Sim.Series.hi)
+      (Sim.Series.summary series);
+    Format.fprintf fmt "wrote %s, %s and %s@." output jsonl_path om_path
   in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Simulate one policy and render a self-contained HTML run-health \
-             report (busy nodes, queue, backlog, running jobs, waits and \
-             cumulative excess over simulated time; inline SVG, no \
-             JavaScript), plus the raw series as JSONL (run_series/1) and an \
-             OpenMetrics text exposition of the engine and search \
-             instruments.  Output is deterministic: byte-identical for any \
-             REPRO_JOBS setting.")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt $ output $ threshold)
+  simulating "report"
+    ~doc:"Simulate one policy and render a self-contained HTML run-health \
+          report (busy nodes, queue, backlog, running jobs, waits and \
+          cumulative excess over simulated time; inline SVG, no \
+          JavaScript), plus the raw series as JSONL (run_series/1) and an \
+          OpenMetrics text exposition of the engine and search \
+          instruments.  Output is deterministic: byte-identical for any \
+          REPRO_JOBS setting."
+    run
+    Term.(product output threshold)
 
 (* --- gantt --- *)
 
 let gantt_cmd =
-  let run month swf scale seed rho spec budget rstar =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
-    in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        if Workload.Trace.length trace > 300 then
-          Format.eprintf
-            "note: %d jobs; only the first 40 rows are drawn — consider --scale@."
-            (Workload.Trace.length trace);
-        let result = Sim.Engine.run ~r_star:rstar ~policy trace in
-        Format.fprintf fmt "=== %s ===@." policy.Sched.Policy.name;
-        Sim.Gantt.jobs_chart fmt result.Sim.Engine.outcomes;
-        Sim.Gantt.utilization_chart fmt
-          ~capacity:Workload.Month_profile.capacity
-          result.Sim.Engine.outcomes
+  let run (trace, policy, rstar) () =
+    if Workload.Trace.length trace > 300 then
+      Format.eprintf
+        "note: %d jobs; only the first 40 rows are drawn — consider --scale@."
+        (Workload.Trace.length trace);
+    (* The chart draws every job, warm-up and cool-down included, so it
+       reads the engine's outcomes rather than the measured window. *)
+    let result = Sim.Engine.run ~r_star:rstar ~policy trace in
+    Format.fprintf fmt "=== %s ===@." policy.Sched.Policy.name;
+    Sim.Gantt.jobs_chart fmt result.Sim.Engine.outcomes;
+    Sim.Gantt.utilization_chart fmt ~capacity:Workload.Month_profile.capacity
+      result.Sim.Engine.outcomes
   in
-  Cmd.v
-    (Cmd.info "gantt"
-       ~doc:"Render a policy's schedule as an ASCII timeline (small traces).")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt)
+  simulating "gantt"
+    ~doc:"Render a policy's schedule as an ASCII timeline (small traces)."
+    run (Term.const ())
 
 (* --- validate --- *)
 
 let validate_cmd =
-  let run month swf scale seed rho spec budget rstar =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
+  let run (trace, policy, rstar) () =
+    let run =
+      Sim.Run.simulate ~record:[ Validation ] ~r_star:rstar ~policy trace
     in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        let expect =
-          Schedcheck.Validator.expectation_of_policy policy.Sched.Policy.name
-        in
-        let result =
-          Sim.Engine.run ~validate:expect ~r_star:rstar ~policy trace
-        in
-        let report = Option.get result.Sim.Engine.validation in
-        Format.fprintf fmt "%a@." Schedcheck.Report.pp report;
-        if not (Schedcheck.Report.ok report) then exit 1
+    let report = Option.get run.Sim.Run.validation in
+    Format.fprintf fmt "%a@." Schedcheck.Report.pp report;
+    if not (Schedcheck.Report.ok report) then exit 1
   in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Simulate one policy, then replay its schedule against the \
-             machine-level invariants (capacity, non-preemption, \
-             start-after-submit, decision-point alignment) — and, for the \
-             EASY backfill family, against a differential replay of the \
-             reference backfill plan.  Exits non-zero on any violation.")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt)
+  simulating "validate"
+    ~doc:"Simulate one policy, then replay its schedule against the \
+          machine-level invariants (capacity, non-preemption, \
+          start-after-submit, decision-point alignment) — and, for the \
+          EASY backfill family, against a differential replay of the \
+          reference backfill plan.  Exits non-zero on any violation."
+    run (Term.const ())
 
 (* --- experiment --- *)
 

@@ -47,8 +47,8 @@
     them (same event order, same 1 ns same-instant drain window), so
     on a faithful run the differential comparison is bit-exact.  The
     stateful [R* = pred] estimator cannot be replayed after the fact;
-    callers must downgrade to [Generic] for predicted runtimes (the
-    engine wiring does). *)
+    callers must downgrade to [Generic] for predicted runtimes
+    ([Sim.Run.simulate] does). *)
 
 type expectation =
   | Generic  (** machine-level invariants only *)

@@ -24,7 +24,7 @@ type driver = {
   n : int;
   budget : int;
   prune : bool;
-  probe : Simcore.Telemetry.Probe.t option;
+  probe : Simcore.Probe.t option;
   mutable enforce_budget : bool;
   mutable forced : int;  (* DDS: choice-depth of the forced discrepancy *)
   mutable cur_iter : int;  (* discrepancy iteration being explored *)
@@ -48,13 +48,12 @@ let record_leaf d =
       d.best_order.(depth) <- Search_state.chosen d.state ~depth;
       d.best_starts.(depth) <- Search_state.start_at d.state ~depth
     done;
-    (* Telemetry sampling happens only here — an incumbent improvement
+    (* Probe sampling happens only here — an incumbent improvement
        at a leaf — never per node; writes into a preallocated record. *)
     match d.probe with
     | None -> ()
     | Some p ->
-        p.Simcore.Telemetry.Probe.improvements <-
-          p.Simcore.Telemetry.Probe.improvements + 1;
+        p.Simcore.Probe.improvements <- p.Simcore.Probe.improvements + 1;
         p.winner_iteration <- d.cur_iter;
         p.winner_depth <-
           (if d.algorithm = Dds && d.cur_iter >= 1 then d.forced else -1)
@@ -214,7 +213,7 @@ let dfs_all d = dfs_go d 0
 let run ?(prune = false) ?probe algorithm ~budget state =
   let n = Search_state.job_count state in
   if n = 0 then invalid_arg "Search.run: no waiting jobs";
-  Option.iter Simcore.Telemetry.Probe.reset probe;
+  Option.iter Simcore.Probe.reset probe;
   let d =
     {
       state;
@@ -276,7 +275,7 @@ let run ?(prune = false) ?probe algorithm ~budget state =
       (match probe with
       | None -> ()
       | Some p ->
-          p.Simcore.Telemetry.Probe.nodes <-
+          p.Simcore.Probe.nodes <-
             Search_state.nodes_visited state;
           p.leaves <- d.leaves;
           p.iterations <- !iterations;

@@ -38,7 +38,7 @@ type result = {
 
 val run :
   ?prune:bool ->
-  ?probe:Simcore.Telemetry.Probe.t ->
+  ?probe:Simcore.Probe.t ->
   algorithm ->
   budget:int ->
   Search_state.t ->

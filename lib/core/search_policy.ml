@@ -87,7 +87,7 @@ let policy config =
   let max_queue = ref 0 in
   (* One preallocated probe per policy instance, overwritten at every
      decision; the engine's decision log snapshots it after [decide]. *)
-  let probe = Simcore.Telemetry.Probe.create () in
+  let probe = Simcore.Probe.create () in
   (* Policy-owned metric registry (the Sched.Policy metric hook).
      Created disabled, so recording below is a load+branch until a
      reporting surface enables it. *)
@@ -125,7 +125,7 @@ let policy config =
     match ctx.waiting with
     | [] ->
         (* leave no stale effort behind for the decision log *)
-        Simcore.Telemetry.Probe.reset probe;
+        Simcore.Probe.reset probe;
         []
     | _ :: _ ->
         let state = state_of ?usage config ctx in
@@ -138,7 +138,7 @@ let policy config =
         Simcore.Metrics.add m_nodes result.Search.nodes_visited;
         Simcore.Metrics.add m_leaves result.Search.leaves_evaluated;
         if result.Search.exhausted then Simcore.Metrics.incr m_exhausted;
-        Simcore.Metrics.add m_improvements probe.Simcore.Telemetry.Probe.improvements;
+        Simcore.Metrics.add m_improvements probe.Simcore.Probe.improvements;
         Simcore.Metrics.observe m_nodes_per_decision
           result.Search.nodes_visited;
         let started =
@@ -163,8 +163,7 @@ let policy config =
       max_queue = !max_queue;
     }
   in
-  ( Sched.Policy.with_metrics
-      (Sched.Policy.with_probe (Sched.Policy.make ~name:(name config) ~decide)
-         probe)
-      metrics,
+  ( { (Sched.Policy.make ~name:(name config) ~decide) with
+      probe = Some probe;
+      metrics = Some metrics },
     stats )

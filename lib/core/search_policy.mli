@@ -50,12 +50,12 @@ type stats = {
 }
 
 val policy : config -> Sched.Policy.t * (unit -> stats)
-(** The scheduling policy plus an accessor for cumulative search
-    statistics (used by the overhead experiment).  The policy carries
-    a per-instance search-effort probe and a (disabled) run-health
-    metric registry of search counters — enable it via
-    [Sched.Policy.metrics] to include search effort in an OpenMetrics
-    exposition. *)
+(** The scheduling policy plus an accessor for its cumulative search
+    statistics (tests read it; most callers take [fst]).  The policy
+    carries a per-instance search-effort probe and a (disabled)
+    run-health metric registry of search counters — a [Metrics]
+    recorder of [Sim.Run] enables it, to include search effort in an
+    OpenMetrics exposition. *)
 
 val decide_detailed :
   config -> Sched.Policy.context -> Search.result option

@@ -122,32 +122,20 @@ let trace profile load =
           Workload.Trace.scale_load base
             ~capacity:Workload.Month_profile.capacity ~target:r)
 
-let run_cache : (string, Sim.Run.t) Simcore.Memo.t =
-  Simcore.Memo.create ~size:64 ()
-
-(* Decision tracing: when on, every simulation computed into the run
-   cache carries a decision log keyed by its cache key; the log rides
-   in [Sim.Run.t], so cached runs keep their trace for later export.
-   Runs already cached when tracing is switched on stay untraced —
-   harnesses reset the caches when flipping the switch. *)
+(* The three switches: what a run computed into the cache records. *)
 let tracing_cell = ref false
 let set_tracing v = tracing_cell := v
-let tracing () = !tracing_cell
-
-(* Schedule validation: same switch pattern as tracing.  When on, every
-   simulation computed into the run cache validates its finished
-   schedule (differentially for the EASY backfill family, by policy
-   name) and carries the report in [Sim.Run.t]. *)
 let validation_cell = ref false
 let set_validation v = validation_cell := v
-let validation () = !validation_cell
-
-(* Run-health series: same switch pattern again.  When on, every
-   simulation computed into the run cache feeds a bounded sampler that
-   rides in [Sim.Run.t] for later report rendering. *)
 let series_cell = ref false
 let set_series v = series_cell := v
-let series_enabled () = !series_cell
+
+(* The run cache is keyed on the run (month/load/estimator/policy) and
+   on the switches' recording set at request time, so a run cached
+   before a switch was flipped is never returned without the recording
+   it now asks for. *)
+let run_cache : (string * (bool * bool * bool), Sim.Run.t) Simcore.Memo.t =
+  Simcore.Memo.create ~size:64 ()
 
 let simulate ~policy_key ~policy ~r_star profile load =
   let key =
@@ -156,44 +144,32 @@ let simulate ~policy_key ~policy ~r_star profile load =
       (Sim.Engine.r_star_name r_star)
       policy_key
   in
-  Simcore.Memo.get run_cache key (fun () ->
-      let log =
-        if !tracing_cell then
-          Some (Sim.Decision_log.create ~policy:policy_key ())
-        else None
+  let ((log, series, validate) as recording) =
+    (!tracing_cell, !series_cell, !validation_cell)
+  in
+  Simcore.Memo.get run_cache (key, recording) (fun () ->
+      let when_ on recorder = if on then [ recorder () ] else [] in
+      let record =
+        when_ log (fun () ->
+            Sim.Run.Log (Sim.Decision_log.create ~policy:policy_key ()))
+        @ when_ series (fun () ->
+              Sim.Run.Series (Sim.Series.create ~policy:policy_key ()))
+        @ when_ validate (fun () -> Sim.Run.Validation)
       in
-      let series =
-        if !series_cell then Some (Sim.Series.create ~policy:policy_key ())
-        else None
-      in
-      let policy = policy () in
-      let validate =
-        if !validation_cell then
-          Some
-            (Schedcheck.Validator.expectation_of_policy
-               policy.Sched.Policy.name)
-        else None
-      in
-      Sim.Run.simulate ?log ?series ?validate ~r_star ~policy
-        (trace profile load))
+      Sim.Run.simulate ~record ~r_star ~policy:(policy ()) (trace profile load))
 
-let traced_runs () =
+(* Cached runs carrying [field], sorted by run key.  A run cached under
+   several recording sets is listed once: its recordings are identical,
+   the simulation being deterministic. *)
+let recorded field =
   Simcore.Memo.bindings run_cache
-  |> List.filter_map (fun (key, run) ->
-         Option.map (fun log -> (key, log)) run.Sim.Run.log)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.filter_map (fun ((key, _), run) ->
+         Option.map (fun v -> (key, v)) (field run))
+  |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
 
-let validation_reports () =
-  Simcore.Memo.bindings run_cache
-  |> List.filter_map (fun (key, run) ->
-         Option.map (fun report -> (key, report)) run.Sim.Run.validation)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let series_runs () =
-  Simcore.Memo.bindings run_cache
-  |> List.filter_map (fun (key, run) ->
-         Option.map (fun s -> (key, s)) run.Sim.Run.series)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let traced_runs () = recorded (fun r -> r.Sim.Run.log)
+let validation_reports () = recorded (fun r -> r.Sim.Run.validation)
+let series_runs () = recorded (fun r -> r.Sim.Run.series)
 
 let pp_series fmt =
   List.iter (fun (key, s) -> Sim.Series.pp_jsonl ~run:key fmt s)
@@ -203,20 +179,77 @@ let pp_traces fmt =
   List.iter (fun (key, log) -> Sim.Decision_log.pp_jsonl ~run:key fmt log)
     (traced_runs ())
 
-let chrome_trace_document () =
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  let first = ref true in
-  List.iteri
-    (fun i (key, log) ->
-      List.iter
-        (fun ev ->
-          if !first then first := false else Buffer.add_string buf ",\n";
-          Buffer.add_string buf ev)
-        (Sim.Decision_log.chrome_events ~run:key ~pid:(i + 1) log))
-    (traced_runs ());
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+let chrome_trace_document () = Sim.Decision_log.chrome_document (traced_runs ())
+
+let write_file path f =
+  let oc = open_out path in
+  let fmt = Format.formatter_of_out_channel oc in
+  f fmt;
+  Format.pp_print_flush fmt ();
+  close_out oc
+
+let chrome_path jsonl =
+  Option.value (Filename.chop_suffix_opt ~suffix:".jsonl" jsonl) ~default:jsonl
+  ^ ".chrome.json"
+
+let write_traces ~jsonl ~chrome runs =
+  write_file jsonl (fun fmt ->
+      List.iter (fun (run, log) -> Sim.Decision_log.pp_jsonl ~run fmt log) runs);
+  write_file chrome (fun fmt ->
+      Format.pp_print_string fmt (Sim.Decision_log.chrome_document runs))
+
+let write_reports dir runs =
+  (* A run key is month/load/estimator/policy, the month label holding
+     one '/' itself (e.g. 7/03): the cell is the first four segments,
+     the policy the rest. *)
+  let split key =
+    match String.split_on_char '/' key with
+    | m1 :: m2 :: load :: rstar :: (_ :: _ as policy) ->
+        (String.concat "/" [ m1; m2; load; rstar ], String.concat "/" policy)
+    | _ -> (key, key)
+  in
+  let cells = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun (key, s) ->
+      let cell, label = split key in
+      match Hashtbl.find_opt cells cell with
+      | None ->
+          order := cell :: !order;
+          Hashtbl.replace cells cell [ (label, s) ]
+      | Some rs -> Hashtbl.replace cells cell ((label, s) :: rs))
+    runs;
+  let sanitize =
+    String.map (function
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.') as c -> c
+      | _ -> '_')
+  in
+  let sections =
+    List.rev_map
+      (fun cell ->
+        {
+          Sim.Report.href = sanitize cell ^ ".html";
+          title = cell;
+          runs = List.rev (Hashtbl.find cells cell);
+        })
+      !order
+  in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let write name html =
+    write_file (Filename.concat dir name) (fun fmt ->
+        Format.pp_print_string fmt html)
+  in
+  List.iter
+    (fun (s : Sim.Report.section) ->
+      write s.href
+        (Sim.Report.page ~title:("Run health: " ^ s.title)
+           ~subtitle:"month / load / estimator cell, one run per policy"
+           s.runs))
+    sections;
+  write "index.html" (Sim.Report.index ~title:"Run-health reports" sections);
+  write_file (Filename.concat dir "series.jsonl") (fun fmt ->
+      List.iter (fun (run, s) -> Sim.Series.pp_jsonl ~run fmt s) runs);
+  List.length sections
 
 let reset_caches () =
   Simcore.Memo.clear trace_cache;

@@ -69,61 +69,57 @@ val reset_caches : unit -> unit
     knobs on next use.  For harnesses that rerun experiments in-process
     (determinism tests, perf measurement); not needed in normal runs. *)
 
-(** {2 Decision tracing}
+(** {2 What a run records}
 
-    When tracing is on, every simulation computed into the run cache
-    records a {!Sim.Decision_log.t} (one event per scheduling
-    decision) labelled by its cache key.  The exporters below list
-    runs in sorted-key order, so their output is byte-identical for
-    every [jobs] setting, exactly like rendered experiment output.
-    Flip the switch {e before} warming the cache (or after
-    [reset_caches]) — already-cached runs stay untraced. *)
+    Three switches decide what every simulation computed into the run
+    cache records, as {!Sim.Run.recorder}s: a {!Sim.Decision_log.t}
+    (tracing), a {!Sim.Series.t} run-health sampler (series), both
+    labelled by the policy key, and a {!Schedcheck.Report.t}
+    (validation: differential for the EASY backfill family, by policy
+    name; machine-level invariants otherwise).  The switches at request
+    time are part of the run-cache key, so flipping one makes the next
+    {!simulate} of a run compute it with the recording it now asks
+    for.  The listings below give each run key at most once, sorted,
+    so exports are byte-identical for every [jobs] setting. *)
 
 val set_tracing : bool -> unit
-val tracing : unit -> bool
+val set_series : bool -> unit
+val set_validation : bool -> unit
 
 val traced_runs : unit -> (string * Sim.Decision_log.t) list
-(** Cached runs that carry a decision log, sorted by cache key. *)
+val series_runs : unit -> (string * Sim.Series.t) list
+val validation_reports : unit -> (string * Schedcheck.Report.t) list
+(** Cached runs carrying that recording, by run key
+    (month/load/estimator/policy). *)
 
 val pp_traces : Format.formatter -> unit
 (** JSONL ([decision_trace/1]) of every traced cached run. *)
 
 val chrome_trace_document : unit -> string
-(** One Chrome [{"traceEvents":[...]}] document over every traced
-    cached run (one pid per run, simulated-time axis). *)
-
-(** {2 Schedule validation}
-
-    Same switch pattern as tracing: when on, every simulation computed
-    into the run cache validates its finished schedule
-    ({!Schedcheck.Validator}) — differentially for the EASY backfill
-    family (selected by policy name), machine-level invariants for
-    everything else — and carries the {!Schedcheck.Report.t} in
-    {!Sim.Run.t}.  Flip the switch {e before} warming the cache. *)
-
-val set_validation : bool -> unit
-val validation : unit -> bool
-
-val validation_reports : unit -> (string * Schedcheck.Report.t) list
-(** Cached runs that carry a validation report, sorted by cache key. *)
-
-(** {2 Run-health series}
-
-    Same switch pattern as tracing: when on, every simulation computed
-    into the run cache feeds a bounded {!Sim.Series.t} sampler (one
-    run-health observation per decision point) that rides in
-    {!Sim.Run.t}.  The exporters list runs in sorted-key order, so
-    output is byte-identical for every [jobs] setting.  Flip the
-    switch {e before} warming the cache. *)
-
-val set_series : bool -> unit
-val series_enabled : unit -> bool
-
-val series_runs : unit -> (string * Sim.Series.t) list
-(** Cached runs that carry a run-health series, sorted by cache key. *)
+(** {!Sim.Decision_log.chrome_document} over every traced cached run. *)
 
 val pp_series : Format.formatter -> unit
 (** JSONL ([run_series/1]) of every sampled cached run. *)
+
+(** {2 Export}
+
+    The file writers of [schedsim] and the bench harness. *)
+
+val write_file : string -> (Format.formatter -> unit) -> unit
+
+val chrome_path : string -> string
+(** Where the Chrome document goes next to a decision JSONL path: the
+    path without its [.jsonl] suffix, plus [.chrome.json]. *)
+
+val write_traces :
+  jsonl:string -> chrome:string -> (string * Sim.Decision_log.t) list -> unit
+(** The decision JSONL and the Chrome document of labelled logs. *)
+
+val write_reports : string -> (string * Sim.Series.t) list -> int
+(** [write_reports dir runs] writes into [dir] (created if missing) one
+    report page per month/load/estimator cell of the run keys,
+    overlaying its policies, a cross-cell [index.html] and the series
+    JSONL [series.jsonl]; returns the number of pages. *)
 
 val trace : Workload.Month_profile.t -> load -> Workload.Trace.t
 (** Generated (and, for [Rho r], load-scaled) trace; memoized. *)

@@ -21,26 +21,21 @@ type context = {
 type t = {
   name : string;
   decide : context -> Workload.Job.t list;
-  probe : Simcore.Telemetry.Probe.t option;
+  probe : Simcore.Probe.t option;
       (** search-effort record the policy overwrites on every [decide]
-          ([None] for policies that do not search).  The engine
-          snapshots it into the decision log right after each
-          decision. *)
+          ([None] for policies that do not search).  A decision log's
+          observer ([Sim.Decision_log.observer]) snapshots it after
+          each decision. *)
   metrics : Simcore.Metrics.t option;
       (** policy-owned run-health metric registry ([None] for plain
-          policies).  Created disabled; a reporting surface enables it
-          before the run and exposes it alongside the engine's own
-          registry ([Simcore.Metrics.pp_openmetrics] takes a list). *)
+          policies).  Created disabled; a [Metrics] recorder of
+          [Sim.Run.simulate] enables it, and a reporting surface
+          exposes it alongside the engine's own registry
+          ([Simcore.Metrics.pp_openmetrics] takes a list). *)
 }
 
 val make : name:string -> decide:(context -> Workload.Job.t list) -> t
 (** A policy without a probe or metrics ([probe = metrics = None]). *)
-
-val with_probe : t -> Simcore.Telemetry.Probe.t -> t
-(** Attach the search-effort record the policy's [decide] fills. *)
-
-val with_metrics : t -> Simcore.Metrics.t -> t
-(** Attach the metric registry the policy's [decide] records into. *)
 
 val profile_of : context -> Cluster.Profile.t
 (** Availability profile implied by the running set at [ctx.now]. *)

@@ -52,7 +52,7 @@ let record t ~time ~queue ~started ~probe =
     match probe with
     | None ->
         { empty_decision with seq; time; queue; started }
-    | Some (p : Simcore.Telemetry.Probe.t) ->
+    | Some (p : Simcore.Probe.t) ->
         {
           seq;
           time;
@@ -71,6 +71,14 @@ let record t ~time ~queue ~started ~probe =
   in
   t.ring.(seq mod Array.length t.ring) <- d;
   t.recorded <- seq + 1
+
+let observer t ~probe =
+  {
+    Observer.none with
+    on_decision =
+      (fun ~now ~queue ~started ~waiting:_ ~running:_ ->
+        record t ~time:now ~queue:(queue + started) ~started ~probe);
+  }
 
 let decisions t =
   let cap = Array.length t.ring in
@@ -112,7 +120,7 @@ let pp_jsonl ?(run = "") fmt t =
         d.winner_iteration d.winner_depth)
     ds
 
-let chrome_events ?(run = "") ?(pid = 1) t =
+let chrome_events ~run ~pid t =
   let label = if run = "" then t.policy else run ^ " " ^ t.policy in
   let meta =
     Printf.sprintf
@@ -138,3 +146,18 @@ let chrome_events ?(run = "") ?(pid = 1) t =
       (decisions t)
   in
   meta :: events
+
+let chrome_document runs =
+  let buf = Buffer.create (1 lsl 16) in
+  Buffer.add_string buf "{\"traceEvents\":[\n";
+  let first = ref true in
+  List.iteri
+    (fun i (run, log) ->
+      List.iter
+        (fun ev ->
+          if !first then first := false else Buffer.add_string buf ",\n";
+          Buffer.add_string buf ev)
+        (chrome_events ~run ~pid:(i + 1) log))
+    runs;
+  Buffer.add_string buf "\n]}\n";
+  Buffer.contents buf

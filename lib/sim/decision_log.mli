@@ -2,10 +2,10 @@
 
     A bounded ring buffer of scheduling-decision events — decision
     time, queue length, jobs started, and the search effort snapshot
-    from the policy's {!Simcore.Telemetry.Probe} (zeros for policies
-    that do not search).  The engine records one event per decision
-    point; when the ring is full the oldest events are dropped (the
-    drop count is kept, and the exporters report it).
+    from the policy's {!Simcore.Probe} (zeros for policies that do not
+    search).  Its {!observer} records one event per decision point;
+    when the ring is full the oldest events are dropped (the drop count
+    is kept, and the exporters report it).
 
     Everything recorded is a pure function of the simulation inputs —
     no wall-clock time, no randomness — so exported traces are
@@ -15,11 +15,10 @@
     Export formats:
     - {!pp_jsonl}: one JSON object per line, schema [decision_trace/1]
       (see DESIGN.md section 7 for the field list);
-    - {!chrome_events}: Chrome [trace_event] objects (one complete
-      "X" span per decision on the *simulated* time axis, 1 trace
-      microsecond = 1 simulated microsecond, span duration = nodes
-      visited, plus a "queue" counter track), to be wrapped in a
-      [{"traceEvents": [...]}] document and opened in
+    - {!chrome_document}: a Chrome [trace_event] document (one
+      complete "X" span per decision on the *simulated* time axis,
+      1 trace microsecond = 1 simulated microsecond, span duration =
+      nodes visited, plus a "queue" counter track), to be opened in
       [chrome://tracing] / [ui.perfetto.dev]. *)
 
 type decision = {
@@ -55,10 +54,15 @@ val record :
   time:float ->
   queue:int ->
   started:int ->
-  probe:Simcore.Telemetry.Probe.t option ->
+  probe:Simcore.Probe.t option ->
   unit
 (** Append one decision event; snapshots the probe fields (zeros when
     [None]). *)
+
+val observer : t -> probe:Simcore.Probe.t option -> Observer.t
+(** Record one event per decision point of a simulation, reading the
+    deciding policy's [probe] ({!Sched.Policy.t.probe}); [queue] is
+    the queue the policy saw, before its starts. *)
 
 val recorded : t -> int
 (** Total events ever recorded, including dropped ones. *)
@@ -74,8 +78,8 @@ val pp_jsonl : ?run:string -> Format.formatter -> t -> unit
     [{"type":"decision", ...}] line per retained event.  [run] labels
     every line so multiple logs can share one file (default [""]). *)
 
-val chrome_events : ?run:string -> ?pid:int -> t -> string list
-(** Chrome [trace_event] JSON objects (no enclosing brackets), in
-    event order: thread metadata, one "X" decision span and one
-    "queue" counter sample per retained event.  [pid] separates runs
-    in the viewer (default 1). *)
+val chrome_document : (string * t) list -> string
+(** One Chrome [{"traceEvents":[...]}] document over labelled logs, one
+    [pid] per log in list order from 1: per log, thread metadata naming
+    the label and policy, then one "X" decision span and one "queue"
+    counter sample per retained event. *)

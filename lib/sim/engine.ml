@@ -11,55 +11,12 @@ type result = {
   outcomes : Metrics.Outcome.t list;
   queue_samples : queue_sample list;
   decisions : int;
-  horizon : float;
-  validation : Schedcheck.Report.t option;
 }
 
 type event = Arrival of Workload.Job.t | Finish of int
 
-(* The engine's own run-health instruments, registered on the caller's
-   fresh registry when [?metrics] is given. *)
-type instruments = {
-  m_decisions : Simcore.Metrics.counter;
-  m_started : Simcore.Metrics.counter;
-  m_completed : Simcore.Metrics.counter;
-  m_queue : Simcore.Metrics.gauge;
-  m_busy : Simcore.Metrics.gauge;
-  m_backlog : Simcore.Metrics.gauge;
-  m_wait : Simcore.Metrics.histogram;
-  m_queue_depth : Simcore.Metrics.histogram;
-}
-
-let instruments_of reg =
-  {
-    m_decisions =
-      Simcore.Metrics.counter reg "schedsim_decisions"
-        ~help:"scheduling decision points";
-    m_started =
-      Simcore.Metrics.counter reg "schedsim_jobs_started"
-        ~help:"jobs started";
-    m_completed =
-      Simcore.Metrics.counter reg "schedsim_jobs_completed"
-        ~help:"jobs completed";
-    m_queue =
-      Simcore.Metrics.gauge reg "schedsim_queue_jobs"
-        ~help:"waiting jobs after the last decision";
-    m_busy =
-      Simcore.Metrics.gauge reg "schedsim_busy_nodes"
-        ~help:"busy nodes after the last decision";
-    m_backlog =
-      Simcore.Metrics.gauge reg "schedsim_backlog_nodes"
-        ~help:"nodes demanded by waiting jobs after the last decision";
-    m_wait =
-      Simcore.Metrics.histogram reg "schedsim_wait_seconds"
-        ~help:"per-job wait at start, seconds";
-    m_queue_depth =
-      Simcore.Metrics.histogram reg "schedsim_queue_depth"
-        ~help:"waiting jobs per decision point";
-  }
-
-let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
-    ~r_star ~policy trace =
+let run ?(machine = Cluster.Machine.titan) ?(observers = []) ~r_star ~policy
+    trace =
   (* On-line predictor state (Predicted mode): running mean of the
      actual/requested ratio of completed jobs, seeded at 1.0 (trust the
      user until evidence accumulates). *)
@@ -92,13 +49,11 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
       Simcore.Event_queue.schedule events ~time:j.submit (Arrival j))
     (Workload.Trace.jobs trace);
   let running = Cluster.Running_set.create ~machine in
-  let inst = Option.map instruments_of metrics in
   (* Waiting queue in submit order: appends at the back. *)
   let waiting : Workload.Job.t list ref = ref [] in
   let outcomes = ref [] in
   let queue_samples = ref [] in
   let decisions = ref 0 in
-  let horizon = ref 0.0 in
   let start_job now (j : Workload.Job.t) =
     if not (List.exists (fun w -> Workload.Job.equal w j) !waiting) then
       invalid_arg
@@ -109,15 +64,7 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
       { job = j; start = now; finish; est_finish = now +. estimator j };
     Simcore.Event_queue.schedule events ~time:finish (Finish j.id);
     waiting := List.filter (fun w -> not (Workload.Job.equal w j)) !waiting;
-    let wait = now -. j.submit in
-    (match series with
-    | None -> ()
-    | Some s -> Series.note_start s ~wait);
-    (match inst with
-    | None -> ()
-    | Some i ->
-        Simcore.Metrics.incr i.m_started;
-        Simcore.Metrics.observe i.m_wait (int_of_float wait));
+    Observer.start observers ~now j;
     outcomes := Metrics.Outcome.v ~job:j ~start:now ~finish :: !outcomes
   in
   let apply now = function
@@ -125,36 +72,7 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
     | Finish id ->
         let entry = Cluster.Running_set.remove running ~id in
         learn entry.Cluster.Running_set.job;
-        (match inst with
-        | None -> ()
-        | Some i -> Simcore.Metrics.incr i.m_completed);
-        horizon := Float.max !horizon now
-  in
-  (* One pass over the post-decision queue: length, core demand
-     (backlog) and the longest current wait. *)
-  let health_sample now =
-    let queue = ref 0 and demand = ref 0 and max_wait = ref 0.0 in
-    List.iter
-      (fun (j : Workload.Job.t) ->
-        incr queue;
-        demand := !demand + j.nodes;
-        let w = now -. j.submit in
-        if w > !max_wait then max_wait := w)
-      !waiting;
-    let busy = Cluster.Running_set.busy_nodes running in
-    (match series with
-    | None -> ()
-    | Some s ->
-        Series.observe s ~now ~busy ~queue:!queue ~demand:!demand
-          ~running:(Cluster.Running_set.count running) ~max_wait:!max_wait);
-    match inst with
-    | None -> ()
-    | Some i ->
-        Simcore.Metrics.incr i.m_decisions;
-        Simcore.Metrics.set i.m_queue (float_of_int !queue);
-        Simcore.Metrics.set i.m_busy (float_of_int busy);
-        Simcore.Metrics.set i.m_backlog (float_of_int !demand);
-        Simcore.Metrics.observe i.m_queue_depth !queue
+        Observer.finish observers ~now entry.Cluster.Running_set.job
   in
   let rec drain_instant now =
     match Simcore.Event_queue.next_time events with
@@ -170,7 +88,6 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
     | Some (now, e) ->
         apply now e;
         drain_instant now;
-        horizon := Float.max !horizon now;
         let ctx =
           {
             Sched.Policy.now;
@@ -181,48 +98,21 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
         in
         let to_start = policy.Sched.Policy.decide ctx in
         incr decisions;
-        (match log with
-        | None -> ()
-        | Some l ->
-            Decision_log.record l ~time:now
-              ~queue:(List.length ctx.Sched.Policy.waiting)
-              ~started:(List.length to_start)
-              ~probe:policy.Sched.Policy.probe);
         List.iter (start_job now) to_start;
-        if series <> None || inst <> None then health_sample now;
-        queue_samples :=
-          { time = now; length = List.length !waiting } :: !queue_samples;
+        let queue = List.length !waiting in
+        queue_samples := { time = now; length = queue } :: !queue_samples;
+        (match observers with
+        | [] -> ()
+        | _ ->
+            Observer.decision observers ~now ~queue
+              ~started:(List.length to_start) ~waiting:!waiting ~running);
         loop ()
   in
   loop ();
-  let outcomes = List.rev !outcomes in
-  let validation =
-    match validate with
-    | None -> None
-    | Some expect ->
-        (* The Predicted estimator is stateful (it learns as jobs
-           complete), so its profiles cannot be rebuilt after the fact:
-           keep the machine-level invariants, drop the differential. *)
-        let expect =
-          if r_star = Predicted then Schedcheck.Validator.Generic
-          else expect
-        in
-        let replay_r_star (j : Workload.Job.t) =
-          match r_star with
-          | Requested -> j.requested
-          | Actual | Predicted -> Float.min j.runtime j.requested
-        in
-        Some
-          (Schedcheck.Validator.validate ~machine ~expect
-             ~r_star:replay_r_star ~subject:policy.Sched.Policy.name ~trace
-             ~outcomes ())
-  in
   {
-    outcomes;
+    outcomes = List.rev !outcomes;
     queue_samples = List.rev !queue_samples;
     decisions = !decisions;
-    horizon = !horizon;
-    validation;
   }
 
 let windowed_queue_average samples ~from_ ~upto =

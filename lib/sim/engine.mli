@@ -31,46 +31,20 @@ type result = {
   queue_samples : queue_sample list;
       (** waiting-queue length after each decision, time order *)
   decisions : int;
-  horizon : float;  (** time of the last event *)
-  validation : Schedcheck.Report.t option;
-      (** present iff [?validate] was given to {!run} *)
 }
 
 val run :
   ?machine:Cluster.Machine.t ->
-  ?log:Decision_log.t ->
-  ?series:Series.t ->
-  ?metrics:Simcore.Metrics.t ->
-  ?validate:Schedcheck.Validator.expectation ->
+  ?observers:Observer.t list ->
   r_star:r_star ->
   policy:Sched.Policy.t ->
   Workload.Trace.t ->
   result
 (** Simulate the whole trace to completion (default machine:
-    {!Cluster.Machine.titan}).  [log], when given, receives one
-    decision event per decision point: the simulated time, the queue
-    length the policy saw, the number of jobs it started, and the
-    policy's search-effort probe snapshot.
-
-    [series], when given, is fed one run-health observation per
-    decision point, after the decision's starts took effect (decisions
-    happen exactly at arrivals and departures, so completions are
-    sampled too), plus one {!Series.note_start} per started job.
-
-    [metrics], when given, must be a fresh registry: the engine
-    registers its run-health instruments on it (decision/start/finish
-    counters, queue/busy/backlog gauges, wait and queue-depth
-    histograms, names prefixed [schedsim_]) and records into them as
-    the run progresses — honoring the registry's own switch.  Both
-    hooks are entirely off the simulation path when unset.
-
-    [validate], when given, runs {!Schedcheck.Validator.validate} over
-    the finished schedule and stores the report in
-    [result.validation]; violations are reported as data, never
-    raised.  Validation is entirely off the simulation path — with
-    [?validate] unset no validator code runs.  Under [Predicted]
-    runtimes an [Easy_backfill] expectation is downgraded to [Generic]
-    (the stateful estimator cannot be replayed post-hoc).
+    {!Cluster.Machine.titan}).  Every observer sees each job start and
+    finish and, after each decision point's starts took effect, the
+    decision itself (see {!Observer}); observers never change the
+    simulation.  With the default empty list no observer code runs.
     @raise Invalid_argument if some job is wider than the machine or if
     the policy requests an invalid start. *)
 

@@ -1,3 +1,9 @@
+type recorder =
+  | Log of Decision_log.t
+  | Series of Series.t
+  | Metrics of Simcore.Metrics.t
+  | Validation
+
 type t = {
   policy_name : string;
   r_star : Engine.r_star;
@@ -32,11 +38,38 @@ let utilization_of ~machine ~from_ ~upto outcomes =
     busy /. (float_of_int machine.Cluster.Machine.nodes *. window)
   end
 
-let simulate ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
-    ~r_star ~policy trace =
+let observer ~(policy : Sched.Policy.t) = function
+  | Log l -> Some (Decision_log.observer l ~probe:policy.probe)
+  | Series s -> Some (Series.observer s)
+  | Metrics reg ->
+      Option.iter (fun m -> Simcore.Metrics.set_enabled m true) policy.metrics;
+      Some (Observer.instruments reg)
+  | Validation -> None
+
+let validate ~machine ~r_star ~(policy : Sched.Policy.t) trace outcomes =
+  let expect =
+    match r_star with
+    | Engine.Predicted -> Schedcheck.Validator.Generic
+    | Actual | Requested ->
+        Schedcheck.Validator.expectation_of_policy policy.name
+  in
+  let replay_r_star (j : Workload.Job.t) =
+    match r_star with
+    | Engine.Requested -> j.requested
+    | Actual | Predicted -> Float.min j.runtime j.requested
+  in
+  Schedcheck.Validator.validate ~machine ~expect ~r_star:replay_r_star
+    ~subject:policy.name ~trace ~outcomes ()
+
+let simulate ?(machine = Cluster.Machine.titan) ?(record = []) ~r_star ~policy
+    trace =
   let t0 = Simcore.Clock.monotonic_s () in
-  let result =
-    Engine.run ~machine ?log ?series ?metrics ?validate ~r_star ~policy trace
+  let observers = List.filter_map (observer ~policy) record in
+  let result = Engine.run ~machine ~observers ~r_star ~policy trace in
+  let validation =
+    if List.mem Validation record then
+      Some (validate ~machine ~r_star ~policy trace result.Engine.outcomes)
+    else None
   in
   let wall_clock = Simcore.Clock.monotonic_s () -. t0 in
   let measured =
@@ -58,9 +91,9 @@ let simulate ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
     decisions = result.Engine.decisions;
     wall_clock;
     queue_samples = result.Engine.queue_samples;
-    log;
-    validation = result.Engine.validation;
-    series;
+    log = List.find_map (function Log l -> Some l | _ -> None) record;
+    validation;
+    series = List.find_map (function Series s -> Some s | _ -> None) record;
     utilization =
       utilization_of ~machine
         ~from_:(Workload.Trace.measure_start trace)

@@ -5,6 +5,21 @@
     cool-down) and packages the aggregate measures, the per-class
     matrix and the raw outcomes for excessive-wait post-processing. *)
 
+type recorder =
+  | Log of Decision_log.t  (** one event per decision point *)
+  | Series of Series.t  (** the run-health sampler *)
+  | Metrics of Simcore.Metrics.t
+      (** a fresh registry for the engine's [schedsim_*] instruments;
+          the policy's own registry ({!Sched.Policy.t.metrics}) is
+          enabled alongside it *)
+  | Validation
+      (** replay the finished schedule through
+          {!Schedcheck.Validator}: differentially for the EASY backfill
+          family (by policy name), machine-level invariants otherwise *)
+(** What a run records besides its measures.  Each recorder but
+    [Validation] becomes an {!Observer.t}; validation runs once over
+    the finished schedule. *)
+
 type t = {
   policy_name : string;
   r_star : Engine.r_star;
@@ -20,30 +35,27 @@ type t = {
   queue_samples : Engine.queue_sample list;
       (** waiting-queue length after each decision (whole simulation),
           for backlog-dynamics analyses *)
-  log : Decision_log.t option;
-      (** per-decision event log, when the run was traced
-          ([simulate ?log]); rides along in the run caches so traced
-          experiment output can be exported after the fact *)
+  log : Decision_log.t option;  (** the [Log] recorder's log *)
   validation : Schedcheck.Report.t option;
-      (** schedule-validation report, when the run was validated
-          ([simulate ?validate]); rides along in the run caches like
-          [log] so the bench harness can aggregate reports *)
-  series : Series.t option;
-      (** run-health time series, when the run was sampled
-          ([simulate ?series]); rides along in the run caches like
-          [log] so reports can be rendered after the fact *)
+      (** the validation report, when [Validation] was recorded;
+          violations are data, never raised *)
+  series : Series.t option;  (** the [Series] recorder's sampler *)
 }
+(** The recordings ride along in the run caches, so they can be
+    exported after the fact. *)
 
 val simulate :
   ?machine:Cluster.Machine.t ->
-  ?log:Decision_log.t ->
-  ?series:Series.t ->
-  ?metrics:Simcore.Metrics.t ->
-  ?validate:Schedcheck.Validator.expectation ->
+  ?record:recorder list ->
   r_star:Engine.r_star ->
   policy:Sched.Policy.t ->
   Workload.Trace.t ->
   t
+(** Simulate with the given recorders (default none).  [wall_clock]
+    covers the simulation, its observers and the validation.  Under
+    [Predicted] runtimes validation keeps only the machine-level
+    invariants: the stateful estimator cannot be replayed after the
+    fact. *)
 
 val excess : t -> threshold:float -> Metrics.Excess.t
 (** Excessive wait of the measured jobs w.r.t. a threshold. *)

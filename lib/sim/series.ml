@@ -170,6 +170,29 @@ let observe t ~now ~busy ~queue ~demand ~running ~max_wait =
   end
   else t.pending <- Some p
 
+let observer t =
+  {
+    Observer.none with
+    on_start =
+      (fun ~now (j : Workload.Job.t) -> note_start t ~wait:(now -. j.submit));
+    on_decision =
+      (fun ~now ~queue ~started:_ ~waiting ~running ->
+        (* one pass over the queue: core demand (backlog) and the
+           longest current wait *)
+        let demand = ref 0 and max_wait = ref 0.0 in
+        List.iter
+          (fun (j : Workload.Job.t) ->
+            demand := !demand + j.nodes;
+            let w = now -. j.submit in
+            if w > !max_wait then max_wait := w)
+          waiting;
+        observe t ~now
+          ~busy:(Cluster.Running_set.busy_nodes running)
+          ~queue ~demand:!demand
+          ~running:(Cluster.Running_set.count running)
+          ~max_wait:!max_wait);
+  }
+
 (* --- summaries --- *)
 
 type summary = {

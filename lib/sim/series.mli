@@ -1,6 +1,6 @@
 (** Bounded simulated-time run-health series.
 
-    A sampler the engine feeds at every decision point (decisions
+    A sampler its {!observer} feeds at every decision point (decisions
     happen exactly at job arrivals and departures, so every completion
     instant is sampled too): busy nodes, waiting-queue length and
     core demand (backlog), running-job count, the longest current wait
@@ -92,6 +92,10 @@ val observe :
 (** Record one decision-point observation.  [now] must be
     non-decreasing across calls.
     @raise Invalid_argument if time goes backwards. *)
+
+val observer : t -> Observer.t
+(** Feed the series from a simulation: one {!observe} per decision
+    point and one {!note_start} per started job. *)
 
 (** {2 Summaries} *)
 

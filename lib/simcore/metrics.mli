@@ -1,12 +1,10 @@
 (** Run-health metric registry.
 
     A named-metric registry for one simulation run: counters, gauges
-    and histograms (the histograms reuse {!Telemetry.Histogram}'s
-    63-bucket log2 geometry), plus an OpenMetrics/Prometheus text
-    exposition writer.  Unlike {!Telemetry}, whose single process-wide
-    switch guards globally shared instruments, a registry is a
-    per-run instance with its own switch — runs executing in parallel
-    on the domain pool each own their registry and never contend.
+    and fixed 63-bucket log2 histograms, plus an OpenMetrics/Prometheus
+    text exposition writer.  A registry is a per-run instance with its
+    own switch — runs executing in parallel on the domain pool each own
+    their registry and never contend.
 
     The section-7 observability contract applies: with the registry's
     switch off every [incr]/[set]/[observe] is a single load plus a
@@ -14,8 +12,8 @@
     storage and never allocates per observation (registration
     allocates, observation does not — tested).
 
-    Instruments are single-writer, like {!Telemetry}'s: record only
-    from the domain that owns the run. *)
+    Instruments are single-writer: record only from the domain that
+    owns the run. *)
 
 type t
 (** A registry: an ordered collection of named instruments sharing one
@@ -43,11 +41,10 @@ val counter : t -> ?help:string -> string -> counter
 (** Monotone int accumulator. *)
 
 val gauge : t -> ?help:string -> string -> gauge
-(** Last-write-wins float level (queue depth, busy nodes, ...). *)
+(** Last-write-wins int level (queue depth, busy nodes, ...). *)
 
 val histogram : t -> ?help:string -> string -> histogram
-(** Distribution of non-negative ints over
-    {!Telemetry.Histogram.buckets} log2 buckets. *)
+(** Distribution of non-negative ints over {!buckets} log2 buckets. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -55,10 +52,10 @@ val add : counter -> int -> unit
 
 val counter_value : counter -> int
 
-val set : gauge -> float -> unit
+val set : gauge -> int -> unit
 (** No-op while the registry's switch is off. *)
 
-val gauge_value : gauge -> float
+val gauge_value : gauge -> int
 
 val observe : histogram -> int -> unit
 (** No-op while the registry's switch is off. *)
@@ -70,8 +67,26 @@ val histogram_total : histogram -> int
 (** Sum of observed values. *)
 
 val histogram_percentile : histogram -> float -> float
-(** Same estimator as {!Telemetry.Histogram.percentile}.
+(** [histogram_percentile h p] estimates the p-th percentile by linear
+    interpolation inside the bucket where the cumulative count crosses
+    the rank; 0.0 when empty.  Accurate to within one bucket width.
     @raise Invalid_argument if the percentile is out of [0, 100]. *)
+
+(** {2 Bucket geometry}
+
+    Bucket 0 holds values [<= 0]; bucket [b >= 1] holds values in
+    [2^(b-1) .. 2^b - 1], with the top bucket extending to [max_int]. *)
+
+val buckets : int
+(** Number of histogram buckets (63: one per magnitude bit of an OCaml
+    int, plus bucket 0 for non-positive values). *)
+
+val bucket_of : int -> int
+(** The bucket a value falls into (total: negatives land in 0). *)
+
+val bucket_lo : int -> int
+val bucket_hi : int -> int
+(** Inclusive value range covered by a bucket index. *)
 
 (** {2 Exposition} *)
 

@@ -52,14 +52,11 @@ let test_expectation_of_policy () =
 (* --- validator on real engine runs --- *)
 
 let validated ~policy trace =
-  let expect =
-    Validator.expectation_of_policy policy.Sched.Policy.name
-  in
-  let result =
-    Sim.Engine.run ~machine:machine16 ~validate:expect
+  let run =
+    Sim.Run.simulate ~machine:machine16 ~record:[ Validation ]
       ~r_star:Sim.Engine.Actual ~policy trace
   in
-  Option.get result.Sim.Engine.validation
+  Option.get run.Sim.Run.validation
 
 let test_real_runs_ok () =
   let trace = Helpers.mini_trace ~n:60 ~capacity:16 ~seed:7 () in
@@ -77,16 +74,15 @@ let test_real_runs_ok () =
       Sched.Policy.run_now ]
 
 let test_predicted_downgrades () =
-  (* The stateful estimator cannot be replayed: the engine must fall
+  (* The stateful estimator cannot be replayed: the run must fall
      back to the generic invariants instead of reporting phantom
      differential violations. *)
   let trace = Helpers.mini_trace ~n:50 ~capacity:16 ~seed:11 () in
-  let result =
-    Sim.Engine.run ~machine:machine16
-      ~validate:(Validator.expectation_of_policy "FCFS-backfill")
+  let run =
+    Sim.Run.simulate ~machine:machine16 ~record:[ Validation ]
       ~r_star:Sim.Engine.Predicted ~policy:Sched.Backfill.fcfs trace
   in
-  let report = Option.get result.Sim.Engine.validation in
+  let report = Option.get run.Sim.Run.validation in
   Alcotest.(check bool) "clean under Predicted" true (Report.ok report)
 
 (* --- seeded faults: corrupted schedules must be caught --- *)

@@ -52,9 +52,9 @@ let test_metrics_basics () =
   M.incr c;
   M.add c 41;
   Alcotest.(check int) "counter" 42 (M.counter_value c);
-  M.set g 3.0;
-  M.set g 7.5;
-  Alcotest.(check (float 0.0)) "gauge last write wins" 7.5 (M.gauge_value g);
+  M.set g 3;
+  M.set g 7;
+  Alcotest.(check int) "gauge last write wins" 7 (M.gauge_value g);
   List.iter (M.observe h) [ 1; 2; 4; 1000 ];
   Alcotest.(check int) "histogram count" 4 (M.histogram_count h);
   Alcotest.(check int) "histogram total" 1007 (M.histogram_total h);
@@ -67,10 +67,10 @@ let test_metrics_switch () =
   let g = M.gauge reg "g" in
   let h = M.histogram reg "h" in
   M.incr c;
-  M.set g 9.0;
+  M.set g 9;
   M.observe h 5;
   Alcotest.(check int) "counter off = no-op" 0 (M.counter_value c);
-  Alcotest.(check (float 0.0)) "gauge off = no-op" 0.0 (M.gauge_value g);
+  Alcotest.(check int) "gauge off = no-op" 0 (M.gauge_value g);
   Alcotest.(check int) "histogram off = no-op" 0 (M.histogram_count h);
   M.set_enabled reg true;
   M.incr c;
@@ -95,18 +95,27 @@ let test_metrics_names () =
 (* The section-7 contract, both halves: a disabled registry's
    recording calls allocate nothing (pure load+branch), and an enabled
    registry records into preallocated storage — also zero words per
-   observation. *)
+   observation, including the engine instruments' hooks for a decision,
+   a start and a finish. *)
 let metrics_alloc_words ~enabled =
   let reg = M.create ~enabled () in
   let c = M.counter reg "c" in
   let g = M.gauge reg "g" in
   let h = M.histogram reg "h" in
+  let observers = [ Sim.Observer.instruments reg ] in
+  let running = Cluster.Running_set.create ~machine:Cluster.Machine.titan in
+  let job = Helpers.job ~id:1 ~submit:0.0 ~nodes:8 () in
+  let waiting = [ job; Helpers.job ~id:2 ~nodes:4 () ] in
   let burn () =
     for i = 1 to 1000 do
       M.incr c;
       M.add c i;
-      M.set g 42.5;
-      M.observe h i
+      M.set g 42;
+      M.observe h i;
+      Sim.Observer.start observers ~now:60.0 job;
+      Sim.Observer.decision observers ~now:60.0 ~queue:2 ~started:1 ~waiting
+        ~running;
+      Sim.Observer.finish observers ~now:120.0 job
     done
   in
   burn ();
@@ -134,7 +143,7 @@ let test_openmetrics_exposition () =
   let g = M.gauge reg "queue" in
   let h = M.histogram reg "wait" in
   M.add c 3;
-  M.set g 17.0;
+  M.set g 17;
   List.iter (M.observe h) [ 1; 2; 1000 ];
   let reg2 = M.create ~enabled:true () in
   let c2 = M.counter reg2 "search_nodes" in
@@ -310,7 +319,9 @@ let test_engine_feeds_series_and_metrics () =
   let series = Sim.Series.create ~policy:"fcfs" () in
   let metrics = M.create ~enabled:true () in
   let sampled =
-    Sim.Engine.run ~series ~metrics ~r_star:Sim.Engine.Actual ~policy trace
+    Sim.Engine.run
+      ~observers:[ Sim.Series.observer series; Sim.Observer.instruments metrics ]
+      ~r_star:Sim.Engine.Actual ~policy trace
   in
   (* observational only: the simulation itself is unchanged *)
   Alcotest.(check int) "same decisions" plain.Sim.Engine.decisions
@@ -372,8 +383,8 @@ let test_report_page_structure () =
   let trace = small_trace () in
   let series = Sim.Series.create ~policy:"fcfs" () in
   let _ =
-    Sim.Engine.run ~series ~r_star:Sim.Engine.Actual
-      ~policy:Sched.Backfill.fcfs trace
+    Sim.Engine.run ~observers:[ Sim.Series.observer series ]
+      ~r_star:Sim.Engine.Actual ~policy:Sched.Backfill.fcfs trace
   in
   let html = Sim.Report.page ~title:"t" [ ("fcfs", series) ] in
   Alcotest.(check bool) "doctype" true (contains html "<!doctype html>");

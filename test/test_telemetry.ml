@@ -1,145 +1,100 @@
-(* Telemetry primitives (Simcore.Telemetry), the Search probe, and the
-   decision-trace export: counters/histograms honour the global switch,
-   the probe agrees with Search.result, probe recording allocates
-   nothing on the hot path, and trace export is independent of the
-   domain-pool width. *)
+(* The histogram bucket geometry and percentile estimator of
+   Simcore.Metrics, the Search probe, and the decision-trace export:
+   the probe agrees with Search.result, probe recording and the
+   observers of a decision allocate nothing on the hot path, and trace
+   export is independent of the domain-pool width. *)
 
-module T = Simcore.Telemetry
-
-(* Every test restores the process-wide switch it flips. *)
-let with_enabled v f =
-  let saved = T.enabled () in
-  T.set_enabled v;
-  Fun.protect f ~finally:(fun () -> T.set_enabled saved)
-
-(* --- counters --- *)
-
-let test_counter_basics () =
-  with_enabled true (fun () ->
-      let c = T.Counter.create "nodes" in
-      Alcotest.(check string) "name" "nodes" (T.Counter.name c);
-      Alcotest.(check int) "fresh" 0 (T.Counter.value c);
-      T.Counter.incr c;
-      T.Counter.incr c;
-      T.Counter.add c 40;
-      Alcotest.(check int) "incr+add" 42 (T.Counter.value c);
-      T.Counter.reset c;
-      Alcotest.(check int) "reset" 0 (T.Counter.value c))
-
-let test_counter_switch_off () =
-  with_enabled false (fun () ->
-      let c = T.Counter.create "off" in
-      T.Counter.incr c;
-      T.Counter.add c 99;
-      Alcotest.(check int) "off = no-op" 0 (T.Counter.value c));
-  (* flipping the switch off mid-flight freezes, not clears *)
-  with_enabled true (fun () ->
-      let c = T.Counter.create "freeze" in
-      T.Counter.add c 7;
-      T.set_enabled false;
-      T.Counter.add c 100;
-      Alcotest.(check int) "frozen at 7" 7 (T.Counter.value c))
+module M = Simcore.Metrics
 
 (* --- histogram bucket geometry --- *)
 
 let bucket_boundaries_qcheck =
   QCheck.Test.make ~count:1000 ~name:"histogram bucket_of within [lo, hi]"
     QCheck.int (fun v ->
-      let b = T.Histogram.bucket_of v in
-      b >= 0
-      && b < T.Histogram.buckets
-      && T.Histogram.bucket_lo b <= v
-      && v <= T.Histogram.bucket_hi b)
+      let b = M.bucket_of v in
+      b >= 0 && b < M.buckets && M.bucket_lo b <= v && v <= M.bucket_hi b)
 
 let test_bucket_edges () =
   (* every bucket's own endpoints map back to it *)
-  for b = 0 to T.Histogram.buckets - 1 do
+  for b = 0 to M.buckets - 1 do
     Alcotest.(check int)
       (Printf.sprintf "bucket_of (lo %d)" b)
       b
-      (T.Histogram.bucket_of (T.Histogram.bucket_lo b));
+      (M.bucket_of (M.bucket_lo b));
     Alcotest.(check int)
       (Printf.sprintf "bucket_of (hi %d)" b)
       b
-      (T.Histogram.bucket_of (T.Histogram.bucket_hi b))
+      (M.bucket_of (M.bucket_hi b))
   done;
   (* the log2 spine: powers of two open a fresh bucket *)
-  Alcotest.(check int) "0" 0 (T.Histogram.bucket_of 0);
-  Alcotest.(check int) "1" 1 (T.Histogram.bucket_of 1);
-  Alcotest.(check int) "2" 2 (T.Histogram.bucket_of 2);
-  Alcotest.(check int) "3" 2 (T.Histogram.bucket_of 3);
-  Alcotest.(check int) "4" 3 (T.Histogram.bucket_of 4);
-  Alcotest.(check int) "1024" 11 (T.Histogram.bucket_of 1024);
-  Alcotest.(check int) "max_int" (T.Histogram.buckets - 1)
-    (T.Histogram.bucket_of max_int);
-  Alcotest.(check int) "negative -> 0" 0 (T.Histogram.bucket_of (-5))
+  Alcotest.(check int) "0" 0 (M.bucket_of 0);
+  Alcotest.(check int) "1" 1 (M.bucket_of 1);
+  Alcotest.(check int) "2" 2 (M.bucket_of 2);
+  Alcotest.(check int) "3" 2 (M.bucket_of 3);
+  Alcotest.(check int) "4" 3 (M.bucket_of 4);
+  Alcotest.(check int) "1024" 11 (M.bucket_of 1024);
+  Alcotest.(check int) "max_int" (M.buckets - 1) (M.bucket_of max_int);
+  Alcotest.(check int) "negative -> 0" 0 (M.bucket_of (-5))
 
 let test_histogram_observe_percentile () =
-  with_enabled true (fun () ->
-      let h = T.Histogram.create "latency" in
-      Alcotest.(check (float 0.0)) "empty percentile" 0.0
-        (T.Histogram.percentile h 50.0);
-      List.iter (T.Histogram.observe h) [ 1; 2; 4; 8; 1000; 1000 ];
-      Alcotest.(check int) "count" 6 (T.Histogram.count h);
-      Alcotest.(check int) "total" 2015 (T.Histogram.total h);
-      Alcotest.(check int) "bucket_count 1000s" 2
-        (T.Histogram.bucket_count h (T.Histogram.bucket_of 1000));
-      (* p100 lands in the top occupied bucket; interpolation keeps it
-         within that bucket's range *)
-      let p100 = T.Histogram.percentile h 100.0 in
-      Alcotest.(check bool) "p100 in 1000's bucket" true
-        (T.Histogram.bucket_of (int_of_float p100)
-        = T.Histogram.bucket_of 1000);
-      let p50 = T.Histogram.percentile h 50.0 in
-      Alcotest.(check bool) "p50 below p100" true (p50 <= p100);
-      Alcotest.check_raises "p out of range"
-        (Invalid_argument "Telemetry.Histogram.percentile: p out of [0, 100]")
-        (fun () -> ignore (T.Histogram.percentile h 101.0));
-      T.Histogram.reset h;
-      Alcotest.(check int) "reset count" 0 (T.Histogram.count h));
-  with_enabled false (fun () ->
-      let h = T.Histogram.create "off" in
-      T.Histogram.observe h 5;
-      Alcotest.(check int) "off = no-op" 0 (T.Histogram.count h))
+  let h = M.histogram (M.create ~enabled:true ()) "latency" in
+  Alcotest.(check (float 0.0)) "empty percentile" 0.0
+    (M.histogram_percentile h 50.0);
+  List.iter (M.observe h) [ 1; 2; 4; 8; 1000; 1000 ];
+  Alcotest.(check int) "count" 6 (M.histogram_count h);
+  Alcotest.(check int) "total" 2015 (M.histogram_total h);
+  (* p100 lands in the top occupied bucket; interpolation keeps it
+     within that bucket's range *)
+  let p100 = M.histogram_percentile h 100.0 in
+  Alcotest.(check bool) "p100 in 1000's bucket" true
+    (M.bucket_of (int_of_float p100) = M.bucket_of 1000);
+  (* the two 1000s are the top third: p50 interpolates inside the
+     bucket of 4 *)
+  let p50 = M.histogram_percentile h 50.0 in
+  Alcotest.(check bool) "p50 in 4's bucket" true
+    (M.bucket_of (int_of_float p50) = M.bucket_of 4);
+  Alcotest.check_raises "p out of range"
+    (Invalid_argument "Metrics.histogram_percentile: p out of [0, 100]")
+    (fun () -> ignore (M.histogram_percentile h 101.0))
 
 (* --- the Search probe --- *)
 
 let test_probe_matches_result () =
-  let probe = T.Probe.create () in
+  let probe = Simcore.Probe.create () in
   let state = Experiments.Overhead.synthetic_state ~seed:5 () in
   let r = Core.Search.run ~probe Core.Search.Dds ~budget:2000 state in
-  Alcotest.(check int) "nodes" r.Core.Search.nodes_visited probe.T.Probe.nodes;
+  Alcotest.(check int) "nodes" r.Core.Search.nodes_visited probe.Simcore.Probe.nodes;
   Alcotest.(check int) "leaves" r.Core.Search.leaves_evaluated
-    probe.T.Probe.leaves;
+    probe.Simcore.Probe.leaves;
   Alcotest.(check int) "iterations" r.Core.Search.iterations
-    probe.T.Probe.iterations;
+    probe.Simcore.Probe.iterations;
   Alcotest.(check bool) "exhausted" r.Core.Search.exhausted
-    probe.T.Probe.exhausted;
-  Alcotest.(check int) "budget" 2000 probe.T.Probe.budget;
+    probe.Simcore.Probe.exhausted;
+  Alcotest.(check int) "budget" 2000 probe.Simcore.Probe.budget;
   Alcotest.(check bool) "at least the heuristic incumbent" true
-    (probe.T.Probe.improvements >= 1);
+    (probe.Simcore.Probe.improvements >= 1);
   Alcotest.(check bool) "winner iteration sane" true
-    (probe.T.Probe.winner_iteration >= 0
-    && probe.T.Probe.winner_iteration <= r.Core.Search.iterations + 1)
+    (probe.Simcore.Probe.winner_iteration >= 0
+    && probe.Simcore.Probe.winner_iteration <= r.Core.Search.iterations + 1)
 
 let test_probe_exhaustive_and_reuse () =
-  let probe = T.Probe.create () in
+  let probe = Simcore.Probe.create () in
   (* small exhaustive search: the tree fits in the budget *)
   let state = Experiments.Overhead.synthetic_state ~n_waiting:4 ~seed:9 () in
   let r = Core.Search.run ~probe Core.Search.Dds ~budget:1_000_000 state in
   Alcotest.(check bool) "small tree exhausted" true r.Core.Search.exhausted;
-  Alcotest.(check bool) "probe exhausted" true probe.T.Probe.exhausted;
+  Alcotest.(check bool) "probe exhausted" true probe.Simcore.Probe.exhausted;
   (* the same probe reused on another run is fully overwritten *)
   let state2 = Experiments.Overhead.synthetic_state ~seed:11 () in
   let r2 = Core.Search.run ~probe Core.Search.Dds ~budget:500 state2 in
   Alcotest.(check int) "reused probe tracks second run"
-    r2.Core.Search.nodes_visited probe.T.Probe.nodes;
+    r2.Core.Search.nodes_visited probe.Simcore.Probe.nodes;
   Alcotest.(check bool) "budget-bound run not exhausted" false
-    probe.T.Probe.exhausted;
-  T.Probe.reset probe;
-  Alcotest.(check int) "reset nodes" 0 probe.T.Probe.nodes;
-  Alcotest.(check int) "reset improvements" 0 probe.T.Probe.improvements;
-  Alcotest.(check int) "reset winner_depth" (-1) probe.T.Probe.winner_depth
+    probe.Simcore.Probe.exhausted;
+  Simcore.Probe.reset probe;
+  Alcotest.(check int) "reset nodes" 0 probe.Simcore.Probe.nodes;
+  Alcotest.(check int) "reset improvements" 0 probe.Simcore.Probe.improvements;
+  Alcotest.(check int) "reset winner_depth" (-1) probe.Simcore.Probe.winner_depth
 
 (* --- allocation: the probe must not touch the per-node budget --- *)
 
@@ -173,24 +128,32 @@ let test_node_visit_allocation_bounded () =
     (Printf.sprintf "place/unplace allocates %.2f <= 8 words/node" per_node)
     true (per_node <= 8.0)
 
-(* Minor-heap words allocated by one search over a fresh synthetic
-   state.  DDS is deterministic, so identical seeds and budgets
-   allocate identically — any probe-induced difference shows up as an
-   exact word delta. *)
-let alloc_words ?probe ~budget () =
+(* Minor-heap words allocated by one decision: a search over a fresh
+   synthetic state, then the decision's observers.  DDS is
+   deterministic, so identical seeds and budgets allocate identically —
+   any difference the probe or the engine instruments make shows up as
+   an exact word delta. *)
+let alloc_words ?probe ~observers ~budget () =
   let state = Experiments.Overhead.synthetic_state ~seed:123 () in
+  let running = Cluster.Running_set.create ~machine:Cluster.Machine.titan in
+  let waiting = [ Helpers.job ~id:1 ~nodes:8 (); Helpers.job ~id:2 () ] in
   let before = Gc.minor_words () in
   let r = Core.Search.run ?probe Core.Search.Dds ~budget state in
+  Sim.Observer.decision observers ~now:60.0 ~queue:2 ~started:0 ~waiting
+    ~running;
   (Gc.minor_words () -. before, r.Core.Search.nodes_visited)
 
 let test_probe_allocates_nothing () =
   (* warm-up: first run pays one-time lazy setup *)
-  ignore (alloc_words ~budget:9000 ());
-  let w_off, n_off = alloc_words ~budget:9000 () in
-  let probe = T.Probe.create () in
-  let w_on, n_on = alloc_words ~probe ~budget:9000 () in
+  ignore (alloc_words ~observers:[] ~budget:9000 ());
+  let w_off, n_off = alloc_words ~observers:[] ~budget:9000 () in
+  let probe = Simcore.Probe.create () in
+  let observers =
+    [ Sim.Observer.instruments (Simcore.Metrics.create ~enabled:true ()) ]
+  in
+  let w_on, n_on = alloc_words ~probe ~observers ~budget:9000 () in
   Alcotest.(check int) "same traversal" n_off n_on;
-  Alcotest.(check (float 0.0)) "probe adds exactly 0 words" w_off w_on;
+  Alcotest.(check (float 0.0)) "probe and observers add exactly 0 words" w_off w_on;
   (* and the whole search stays within a dev-profile allocation
      envelope per node (leaf objective snapshots included) *)
   let per_node = w_on /. float_of_int n_on in
@@ -202,10 +165,10 @@ let test_probe_allocates_nothing () =
 
 let test_decision_log_ring () =
   let log = Sim.Decision_log.create ~capacity:4 ~policy:"p" () in
-  let probe = T.Probe.create () in
+  let probe = Simcore.Probe.create () in
   for i = 0 to 5 do
-    probe.T.Probe.nodes <- 100 * i;
-    probe.T.Probe.budget <- 1000;
+    probe.Simcore.Probe.nodes <- 100 * i;
+    probe.Simcore.Probe.budget <- 1000;
     Sim.Decision_log.record log ~time:(float_of_int i) ~queue:i ~started:0
       ~probe:(Some probe)
   done;
@@ -281,11 +244,57 @@ let test_trace_export_jobs_invariant () =
           Alcotest.(check string) "Chrome view independent of jobs"
             chrome_seq chrome_par))
 
+(* --- the run cache keys on what a run records --- *)
+
+let test_switches_after_caching () =
+  let module C = Experiments.Common in
+  let switch v =
+    C.set_tracing v;
+    C.set_series v;
+    C.set_validation v
+  in
+  with_env
+    [ ("REPRO_SCALE", "0.05"); ("REPRO_MONTHS", "7/03") ]
+    (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          switch false;
+          C.reset_caches ())
+        (fun () ->
+          switch false;
+          C.reset_caches ();
+          let month = List.hd (C.months ()) in
+          let run () = C.fcfs_run ~r_star:Sim.Engine.Actual month C.Original in
+          let plain = run () in
+          Alcotest.(check bool) "cached without recordings" true
+            (plain.Sim.Run.log = None && plain.Sim.Run.series = None
+            && plain.Sim.Run.validation = None);
+          switch true;
+          let recorded = run () in
+          Alcotest.(check bool) "log after the flip" true
+            (recorded.Sim.Run.log <> None);
+          Alcotest.(check bool) "series after the flip" true
+            (recorded.Sim.Run.series <> None);
+          Alcotest.(check bool) "validation after the flip" true
+            (Option.fold ~none:false ~some:Schedcheck.Report.ok
+               recorded.Sim.Run.validation);
+          Alcotest.(check int) "same simulation" plain.Sim.Run.decisions
+            recorded.Sim.Run.decisions;
+          Alcotest.(check bool) "unchanged switches hit the cache" true
+            (run () == recorded);
+          (* a third recording set of the same run *)
+          C.set_series false;
+          ignore (run ());
+          let key = "7/03/original/R*=T/FCFS-backfill" in
+          Alcotest.(check (list string)) "traced once" [ key ]
+            (List.map fst (C.traced_runs ()));
+          Alcotest.(check (list string)) "validated once" [ key ]
+            (List.map fst (C.validation_reports ()));
+          Alcotest.(check (list string)) "sampled once" [ key ]
+            (List.map fst (C.series_runs ()))))
+
 let suite =
   [
-    Alcotest.test_case "counter incr/add/reset" `Quick test_counter_basics;
-    Alcotest.test_case "counter ignores writes while off" `Quick
-      test_counter_switch_off;
     QCheck_alcotest.to_alcotest bucket_boundaries_qcheck;
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
     Alcotest.test_case "histogram observe/percentile/reset" `Quick
@@ -302,4 +311,6 @@ let suite =
       test_decision_log_ring;
     Alcotest.test_case "trace export independent of REPRO_JOBS" `Quick
       test_trace_export_jobs_invariant;
+    Alcotest.test_case "switches flipped after caching still record" `Quick
+      test_switches_after_caching;
   ]
