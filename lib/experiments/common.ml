@@ -18,7 +18,7 @@ let env_int name default =
   | Some s -> Option.value (int_of_string_opt s) ~default
 
 (* Env knobs are read once and cached, but the cache is resettable so
-   harnesses (perf-json, determinism tests) can re-point REPRO_* and
+   harnesses (perfbench grid, determinism tests) can re-point REPRO_* and
    rerun in-process.  Concurrent first reads race benignly: both
    domains compute the same value from the same environment. *)
 let cached_env read =

@@ -1,5 +1,5 @@
 (* read per call, not at module init, so harnesses can re-point
-   REPRO_MAXL in-process (perf-json quick config, determinism tests) *)
+   REPRO_MAXL in-process (perfbench grid, determinism tests) *)
 let budgets () =
   let all = [ 1000; 2000; 4000; 8000; 10_000; 100_000 ] in
   match Sys.getenv_opt "REPRO_MAXL" with

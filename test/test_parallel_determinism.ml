@@ -20,12 +20,12 @@ let render experiments =
   Buffer.contents buf
 
 let test_fig3_fig6_jobs_invariant () =
-  (* REPRO_MAXL=1000 keeps fig6 to a single L point; 1/04 is the month
-     both figures use. *)
+  (* REPRO_MAXL=1000 keeps fig6 to a single L point; fig3 renders both
+     months, fig6 only 1/04. *)
   with_env
     [
       ("REPRO_SCALE", "0.1");
-      ("REPRO_MONTHS", "1/04");
+      ("REPRO_MONTHS", "7/03,1/04");
       ("REPRO_MAXL", "1000");
     ]
     (fun () ->
