@@ -63,9 +63,15 @@ let reference_backfill ~reservations ~priority (ctx : Sched.Policy.context) =
     in
     List.find (fun t -> fits ~at:t ~duration ~nodes) candidates
   in
+  (* The naive pairwise sort, not [Sched.Priority.order]: the key is
+     re-evaluated on every comparison, so the replay does not check
+     the keyed sort against itself. *)
+  let key = priority.Sched.Priority.key ~now ~r_star:ctx.r_star in
   let ordered =
     List.stable_sort
-      (priority.Sched.Priority.compare ~now ~r_star:ctx.r_star)
+      (fun a b ->
+        let c = Float.compare (key b) (key a) in
+        if c <> 0 then c else Workload.Job.compare_submit a b)
       ctx.waiting
   in
   let remaining = ref reservations in

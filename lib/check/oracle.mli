@@ -42,6 +42,8 @@ val reference_backfill :
     jobs and carved reservations); a job fits at [t] iff at every
     interval boundary within its span the summed overlap leaves enough
     free nodes; the earliest start is found by trying [now] and every
-    interval boundary in increasing order.  Candidate starts are
+    interval boundary in increasing order.  The queue is sorted
+    pairwise, re-evaluating the priority key on every comparison, not
+    through {!Sched.Priority.order}.  Candidate starts are
     boundaries in both implementations, so agreement is exact (same
     floats), not approximate. *)

@@ -2,12 +2,9 @@ type t = Fcfs | Lxf
 
 let name = function Fcfs -> "fcfs" | Lxf -> "lxf"
 
+let priority = function
+  | Fcfs -> Sched.Priority.fcfs
+  | Lxf -> Sched.Priority.lxf
+
 let order t ~now ~r_star waiting =
-  let arr = Array.of_list waiting in
-  let compare =
-    match t with
-    | Fcfs -> Sched.Priority.fcfs.Sched.Priority.compare ~now ~r_star
-    | Lxf -> Sched.Priority.lxf.Sched.Priority.compare ~now ~r_star
-  in
-  Array.sort compare arr;
-  arr
+  Sched.Priority.order (priority t) ~now ~r_star waiting

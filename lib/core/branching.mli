@@ -15,6 +15,7 @@ val order :
   r_star:(Workload.Job.t -> float) ->
   Workload.Job.t list ->
   Workload.Job.t array
-(** Sort the waiting jobs into heuristic preference order: [Fcfs] by
-    submission time, [Lxf] by descending current expansion factor
-    (ties by submission). *)
+(** The waiting jobs in heuristic preference order: {!Sched.Priority.order}
+    with {!Sched.Priority.fcfs} (submission order) or
+    {!Sched.Priority.lxf} (descending current expansion factor, ties by
+    submission).  Each job is scored once per decision point. *)

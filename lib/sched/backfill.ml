@@ -6,14 +6,12 @@ type plan = {
 let plan ~reservations ~priority (ctx : Policy.context) =
   let profile = Policy.profile_of ctx in
   let ordered =
-    List.stable_sort
-      (priority.Priority.compare ~now:ctx.now ~r_star:ctx.r_star)
-      ctx.waiting
+    Priority.order priority ~now:ctx.now ~r_star:ctx.r_star ctx.waiting
   in
   let remaining = ref reservations in
   let start_now = ref [] in
   let reserved = ref [] in
-  List.iter
+  Array.iter
     (fun (j : Workload.Job.t) ->
       let duration = Float.max (ctx.r_star j) 1.0 in
       if Cluster.Profile.fits_at profile ~at:ctx.now ~nodes:j.nodes ~duration

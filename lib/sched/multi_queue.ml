@@ -11,14 +11,9 @@ let policy ?(boundaries = default_boundaries) ?(reservations = 1) () =
   let priority =
     {
       Priority.name = "multi-queue";
-      compare =
-        (fun ~now:_ ~r_star a b ->
-          let c =
-            Int.compare
-              (queue_rank ~boundaries (r_star a))
-              (queue_rank ~boundaries (r_star b))
-          in
-          if c <> 0 then c else Workload.Job.compare_submit a b);
+      key =
+        (fun ~now:_ ~r_star j ->
+          -.float_of_int (queue_rank ~boundaries (r_star j)));
     }
   in
   let inner = Backfill.policy ~reservations priority in

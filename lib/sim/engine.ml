@@ -15,6 +15,20 @@ type result = {
 
 type event = Arrival of Workload.Job.t | Finish of int
 
+let rec mem_id id = function
+  | [] -> false
+  | (j : Workload.Job.t) :: rest -> j.id = id || mem_id id rest
+
+(* [jobs] minus the [k] jobs of [gone], then [tail].  The unchanged
+   suffix is shared once all of [gone] is found and [tail] is empty. *)
+let[@tail_mod_cons] rec without gone k tail jobs =
+  match (jobs, tail) with
+  | [], _ -> tail
+  | _, [] when k = 0 -> jobs
+  | (j : Workload.Job.t) :: rest, _ ->
+      if mem_id j.id gone then without gone (k - 1) tail rest
+      else j :: without gone k tail rest
+
 let run ?(machine = Cluster.Machine.titan) ?(observers = []) ~r_star ~policy
     trace =
   (* On-line predictor state (Predicted mode): running mean of the
@@ -49,26 +63,46 @@ let run ?(machine = Cluster.Machine.titan) ?(observers = []) ~r_star ~policy
       Simcore.Event_queue.schedule events ~time:j.submit (Arrival j))
     (Workload.Trace.jobs trace);
   let running = Cluster.Running_set.create ~machine in
-  (* Waiting queue in submit order: appends at the back. *)
+  (* Waiting queue, O(1) per event: [waiting_ids] is the set of
+     waiting jobs, so its length is the queue length.  [waiting] is in
+     submit order but may still hold the jobs in [started] (started
+     since it was last rebuilt), and [arrived] holds the newer
+     arrivals, newest first; [current] rebuilds the list in one pass
+     when either is non-empty. *)
+  let waiting_ids = Hashtbl.create 256 in
   let waiting : Workload.Job.t list ref = ref [] in
+  let started : Workload.Job.t list ref = ref [] in
+  let arrived : Workload.Job.t list ref = ref [] in
+  let current () =
+    (match (!started, !arrived) with
+    | [], [] -> ()
+    | s, a ->
+        waiting := without s (List.length s) (List.rev a) !waiting;
+        started := [];
+        arrived := []);
+    !waiting
+  in
   let outcomes = ref [] in
   let queue_samples = ref [] in
   let decisions = ref 0 in
   let start_job now (j : Workload.Job.t) =
-    if not (List.exists (fun w -> Workload.Job.equal w j) !waiting) then
+    if not (Hashtbl.mem waiting_ids j.id) then
       invalid_arg
         (Printf.sprintf "Engine.run: policy started non-waiting job %d" j.id);
+    Hashtbl.remove waiting_ids j.id;
+    started := j :: !started;
     let duration = Float.min j.runtime j.requested in
     let finish = now +. duration in
     Cluster.Running_set.add running
       { job = j; start = now; finish; est_finish = now +. estimator j };
     Simcore.Event_queue.schedule events ~time:finish (Finish j.id);
-    waiting := List.filter (fun w -> not (Workload.Job.equal w j)) !waiting;
     Observer.start observers ~now j;
     outcomes := Metrics.Outcome.v ~job:j ~start:now ~finish :: !outcomes
   in
   let apply now = function
-    | Arrival j -> waiting := !waiting @ [ j ]
+    | Arrival j ->
+        Hashtbl.replace waiting_ids j.id ();
+        arrived := j :: !arrived
     | Finish id ->
         let entry = Cluster.Running_set.remove running ~id in
         learn entry.Cluster.Running_set.job;
@@ -91,7 +125,7 @@ let run ?(machine = Cluster.Machine.titan) ?(observers = []) ~r_star ~policy
         let ctx =
           {
             Sched.Policy.now;
-            waiting = !waiting;
+            waiting = current ();
             running;
             r_star = estimator;
           }
@@ -99,13 +133,13 @@ let run ?(machine = Cluster.Machine.titan) ?(observers = []) ~r_star ~policy
         let to_start = policy.Sched.Policy.decide ctx in
         incr decisions;
         List.iter (start_job now) to_start;
-        let queue = List.length !waiting in
+        let queue = Hashtbl.length waiting_ids in
         queue_samples := { time = now; length = queue } :: !queue_samples;
         (match observers with
         | [] -> ()
         | _ ->
             Observer.decision observers ~now ~queue
-              ~started:(List.length to_start) ~waiting:!waiting ~running);
+              ~started:(List.length to_start) ~waiting:(current ()) ~running);
         loop ()
   in
   loop ();

@@ -188,14 +188,25 @@ let random_context rng =
     end
   done;
   let n_waiting = 1 + Simcore.Rng.int rng 8 in
+  (* One context in four draws submit times and runtimes from two-value
+     pools: duplicate submits and equal estimates, so priority keys tie
+     and the submission tie-break decides. *)
+  let tied = Simcore.Rng.int rng 4 = 0 in
   let waiting =
     List.init n_waiting (fun i ->
-        let runtime = 60.0 +. Simcore.Rng.float rng 7200.0 in
-        Workload.Job.v ~id:i
-          ~submit:(Simcore.Rng.float rng now)
-          ~nodes:(1 + Simcore.Rng.int rng capacity)
-          ~runtime
-          ~requested:(runtime *. (1.0 +. Simcore.Rng.float rng 2.0)))
+        if tied then
+          let runtime = float_of_int (1 + Simcore.Rng.int rng 2) *. 1800.0 in
+          Workload.Job.v ~id:i
+            ~submit:(float_of_int (Simcore.Rng.int rng 2) *. 1200.0)
+            ~nodes:(1 + Simcore.Rng.int rng capacity)
+            ~runtime ~requested:runtime
+        else
+          let runtime = 60.0 +. Simcore.Rng.float rng 7200.0 in
+          Workload.Job.v ~id:i
+            ~submit:(Simcore.Rng.float rng now)
+            ~nodes:(1 + Simcore.Rng.int rng capacity)
+            ~runtime
+            ~requested:(runtime *. (1.0 +. Simcore.Rng.float rng 2.0)))
   in
   { Sched.Policy.now; waiting; running; r_star }
 

@@ -97,6 +97,66 @@ let test_too_wide_job_rejected () =
     (Invalid_argument "Engine.run: job 0 wider than machine") (fun () ->
       ignore (simulate ~policy:Sched.Backfill.fcfs trace))
 
+(* A policy that starts [pick ctx] at every decision. *)
+let starting pick = Sched.Policy.make ~name:"test" ~decide:pick
+
+let test_non_waiting_start_rejected () =
+  let early = Helpers.job ~id:0 ~submit:0.0 () in
+  let late = Helpers.job ~id:1 ~submit:100.0 () in
+  let trace = Workload.Trace.v [ early; late ] in
+  Alcotest.check_raises "not yet arrived"
+    (Invalid_argument "Engine.run: policy started non-waiting job 1")
+    (fun () -> ignore (simulate ~policy:(starting (fun _ -> [ late ])) trace));
+  Alcotest.check_raises "started twice in one decision"
+    (Invalid_argument "Engine.run: policy started non-waiting job 0")
+    (fun () ->
+      ignore
+        (simulate
+           ~policy:
+             (starting (fun ctx ->
+                  match ctx.Sched.Policy.waiting with
+                  | j :: _ -> [ j; j ]
+                  | [] -> []))
+           trace))
+
+(* The engine's queue against a naive model: every decision sees
+   exactly the arrived, unstarted jobs in submit order, and observers
+   see its length after the starts. *)
+let test_waiting_queue_bookkeeping () =
+  let trace = Helpers.mini_trace ~seed:8 ~n:60 () in
+  let jobs = Array.to_list (Workload.Trace.jobs trace) in
+  let ids = List.map (fun (j : Workload.Job.t) -> j.id) in
+  List.iter
+    (fun (inner : Sched.Policy.t) ->
+      let started = Hashtbl.create 64 in
+      let expected now =
+        List.filter
+          (fun (j : Workload.Job.t) ->
+            j.submit <= now +. 1e-9 && not (Hashtbl.mem started j.id))
+          jobs
+      in
+      let decide (ctx : Sched.Policy.context) =
+        Alcotest.(check (list int)) "waiting = arrived minus started"
+          (ids (expected ctx.now)) (ids ctx.waiting);
+        let s = inner.decide ctx in
+        List.iter (fun (j : Workload.Job.t) -> Hashtbl.replace started j.id ()) s;
+        s
+      in
+      let observer =
+        { Sim.Observer.none with
+          on_decision =
+            (fun ~now ~queue ~started:_ ~waiting ~running:_ ->
+              Alcotest.(check (list int)) "observer sees the queue after starts"
+                (ids (expected now)) (ids waiting);
+              Alcotest.(check int) "queue length" (List.length waiting) queue) }
+      in
+      ignore
+        (Sim.Engine.run ~machine:machine16 ~observers:[ observer ]
+           ~r_star:Sim.Engine.Actual
+           ~policy:{ inner with decide }
+           trace))
+    [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Policy.run_now ]
+
 let test_windowed_queue_average () =
   let samples =
     [ { Sim.Engine.time = 0.0; length = 2 };
@@ -195,6 +255,10 @@ let suite =
       test_fcfs_backfill_vs_run_now_head_wait;
     Alcotest.test_case "decisions counted" `Quick test_decisions_counted;
     Alcotest.test_case "too-wide job rejected" `Quick test_too_wide_job_rejected;
+    Alcotest.test_case "non-waiting start rejected" `Quick
+      test_non_waiting_start_rejected;
+    Alcotest.test_case "waiting queue bookkeeping" `Quick
+      test_waiting_queue_bookkeeping;
     Alcotest.test_case "windowed queue average" `Quick
       test_windowed_queue_average;
     Alcotest.test_case "run wrapper windows" `Quick test_run_wrapper_windows;

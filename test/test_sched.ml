@@ -22,24 +22,31 @@ let context ?(now = 0.0) ?(capacity = 16) ~waiting ~running () =
 
 (* --- Priority --- *)
 
+(* [a] goes strictly before [b]: given in the other order, [order]
+   swaps them. *)
+let precedes (p : Priority.t) ~now a b =
+  match Priority.order p ~now ~r_star [ b; a ] with
+  | [| x; y |] -> x == a && y == b
+  | _ -> false
+
 let test_fcfs_priority () =
   let a = Helpers.job ~id:0 ~submit:10.0 () in
   let b = Helpers.job ~id:1 ~submit:5.0 () in
   Alcotest.(check bool) "earlier first" true
-    (Priority.fcfs.Priority.compare ~now:20.0 ~r_star b a < 0)
+    (precedes Priority.fcfs ~now:20.0 b a)
 
 let test_sjf_priority () =
   let short = Helpers.job ~id:0 ~runtime:60.0 () in
   let long = Helpers.job ~id:1 ~runtime:3600.0 () in
   Alcotest.(check bool) "short first" true
-    (Priority.sjf.Priority.compare ~now:0.0 ~r_star short long < 0)
+    (precedes Priority.sjf ~now:0.0 short long)
 
 let test_lxf_priority () =
   (* same wait, shorter job has larger expansion factor *)
   let short = Helpers.job ~id:0 ~submit:0.0 ~runtime:600.0 () in
   let long = Helpers.job ~id:1 ~submit:0.0 ~runtime:36000.0 () in
   Alcotest.(check bool) "larger xf first" true
-    (Priority.lxf.Priority.compare ~now:3600.0 ~r_star short long < 0)
+    (precedes Priority.lxf ~now:3600.0 short long)
 
 let test_expansion_factor () =
   let j = Helpers.job ~submit:0.0 ~runtime:3600.0 () in
@@ -56,9 +63,121 @@ let test_lxf_w_prefers_waiters () =
   let fresh = Helpers.job ~id:1 ~submit:35000.0 ~runtime:600.0 () in
   (* plain lxf prefers the fresh short job; a big wait weight flips it *)
   Alcotest.(check bool) "lxf prefers fresh short job" true
-    (Priority.lxf.Priority.compare ~now:36000.0 ~r_star fresh waited < 0);
+    (precedes Priority.lxf ~now:36000.0 fresh waited);
   Alcotest.(check bool) "lxf&w prefers the long waiter" true
-    (p.Priority.compare ~now:36000.0 ~r_star waited fresh < 0)
+    (precedes p ~now:36000.0 waited fresh)
+
+(* The pairwise comparators [Priority] had before it scored each job
+   once: the reference that [Priority.order] must reproduce exactly. *)
+module Pairwise = struct
+  let tie_break = Workload.Job.compare_submit
+
+  let expansion_factor ~now ~r_star (j : Workload.Job.t) =
+    let wait = Float.max 0.0 (now -. j.submit) in
+    let runtime = Float.max (r_star j) Simcore.Units.minute in
+    1.0 +. (wait /. runtime)
+
+  let fcfs ~now:_ ~r_star:_ a b = tie_break a b
+
+  let sjf ~now:_ ~r_star a b =
+    let c = Float.compare (r_star a) (r_star b) in
+    if c <> 0 then c else tie_break a b
+
+  let lxf ~now ~r_star a b =
+    let c =
+      Float.compare
+        (expansion_factor ~now ~r_star b)
+        (expansion_factor ~now ~r_star a)
+    in
+    if c <> 0 then c else tie_break a b
+
+  let lxf_w ~weight_per_hour ~now ~r_star a b =
+    let score j =
+      let wait_hours =
+        Simcore.Units.to_hours (Float.max 0.0 (now -. j.Workload.Job.submit))
+      in
+      expansion_factor ~now ~r_star j +. (weight_per_hour *. wait_hours)
+    in
+    let c = Float.compare (score b) (score a) in
+    if c <> 0 then c else tie_break a b
+end
+
+(* Random queues with forced ties: a quarter of them draw submit times
+   and runtimes from tiny pools (duplicate submits, equal runtimes and
+   so equal expansion factors and keys under different ids), some jobs
+   arrive after [now] (wait clamped to zero), and the list comes in
+   submit, LXF or random order.  Lengths start at 0 and 1. *)
+let random_queue rng =
+  let n =
+    match Simcore.Rng.int rng 5 with
+    | 0 -> Simcore.Rng.int rng 2
+    | _ -> Simcore.Rng.int rng 40
+  in
+  let tied = Simcore.Rng.int rng 4 = 0 in
+  let now = 36000.0 in
+  let jobs =
+    List.init n (fun id ->
+        let submit =
+          if tied then float_of_int (Simcore.Rng.int rng 3) *. 7200.0
+          else Simcore.Rng.float rng 40000.0
+        in
+        let runtime =
+          if tied then float_of_int (1 + Simcore.Rng.int rng 2) *. 1800.0
+          else 1.0 +. Simcore.Rng.float rng 20000.0
+        in
+        Helpers.job ~id ~submit ~runtime ())
+  in
+  let order =
+    match Simcore.Rng.int rng 3 with
+    | 0 ->
+        (* already sorted: the linear-check path for fcfs and lxf *)
+        List.stable_sort Workload.Job.compare_submit jobs
+    | 1 -> List.stable_sort (Pairwise.lxf ~now ~r_star) jobs
+    | _ ->
+        List.map (fun j -> (Simcore.Rng.int rng 1_000_000, j)) jobs
+        |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+        |> List.map snd
+  in
+  (now, order)
+
+let prop_order_matches_pairwise =
+  QCheck.Test.make
+    ~name:"Priority.order = stable sort by the pairwise comparators"
+    ~count:500 QCheck.small_int (fun seed ->
+      let rng = Simcore.Rng.create ~seed in
+      let now, queue = random_queue rng in
+      let ids l = List.map (fun (j : Workload.Job.t) -> j.id) l in
+      List.for_all
+        (fun ((p : Priority.t), pairwise) ->
+          ids (Array.to_list (Priority.order p ~now ~r_star queue))
+          = ids (List.stable_sort (pairwise ~now ~r_star) queue))
+        [
+          (Priority.fcfs, Pairwise.fcfs);
+          (Priority.sjf, Pairwise.sjf);
+          (Priority.lxf, Pairwise.lxf);
+          ( Priority.lxf_w ~weight_per_hour:0.5,
+            Pairwise.lxf_w ~weight_per_hour:0.5 );
+        ])
+
+(* Linear in n: any per-comparison boxing would be n log n. *)
+let test_order_allocation () =
+  List.iter
+    (fun n ->
+      let rng = Simcore.Rng.create ~seed:n in
+      let queue =
+        List.init n (fun id ->
+            Helpers.job ~id
+              ~submit:(Simcore.Rng.float rng 36000.0)
+              ~runtime:(60.0 +. Simcore.Rng.float rng 36000.0)
+              ())
+      in
+      let before = Gc.minor_words () in
+      let ordered = Priority.order Priority.lxf ~now:36000.0 ~r_star queue in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) "all jobs" n (Array.length ordered);
+      if words > float_of_int ((10 * n) + 64) then
+        Alcotest.failf "n=%d: %.0f minor words > 10n + 64" n words)
+    [ 10; 100; 1000 ]
 
 (* --- Backfill --- *)
 
@@ -183,6 +302,8 @@ let suite =
     Alcotest.test_case "lxf priority" `Quick test_lxf_priority;
     Alcotest.test_case "expansion factor" `Quick test_expansion_factor;
     Alcotest.test_case "lxf&w weights waiters" `Quick test_lxf_w_prefers_waiters;
+    QCheck_alcotest.to_alcotest prop_order_matches_pairwise;
+    Alcotest.test_case "order allocates linearly" `Quick test_order_allocation;
     Alcotest.test_case "backfill starts what fits" `Quick
       test_backfill_starts_what_fits;
     Alcotest.test_case "backfill reserves blocked head" `Quick
