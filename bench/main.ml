@@ -8,8 +8,9 @@
      REPRO_SEED    generator seed (default 42)
      REPRO_MAXL    cap on the Figure 6 budget sweep
      REPRO_ONLY    comma-separated experiment ids to run
-     REPRO_JOBS    domain-pool width for experiment execution
-                   (default: recommended_domain_count - 1; also -j N)
+     REPRO_JOBS    width of the process's domain pool, which runs
+                   experiments and splits large DDS searches
+                   (default: recommended_domain_count; also -j N)
 
    Validation (rides along with the tables):
 
@@ -56,9 +57,11 @@
                           snapshot backtracking, and write it as JSON
                           (default BENCH_search_hotpath.json)
      --perf-smoke [path]  re-measure the L=8000 / 30-job point (median
-                          of 5 warm trials) and fail (exit 1) if it
-                          regressed more than 30% below the committed
-                          baseline JSON *)
+                          of 5 warm trials) and fail (exit 1) if it, or
+                          its trail/snapshot ratio, regressed more than
+                          30% below the committed baseline JSON, or if
+                          place/unplace, a DDS run (per node) or a
+                          split search's helper domain allocates *)
 
 let selected () =
   match Sys.getenv_opt "REPRO_ONLY" with
@@ -196,28 +199,151 @@ let baseline_value path key =
       else None)
     (String.split_on_char '\n' text)
 
-let perf_smoke path =
-  match baseline_value path smoke_key with
-  | None ->
-      Printf.eprintf "perf-smoke: no %s in %s\n" smoke_key path;
-      exit 2
-  | Some baseline ->
-      warm_up ();
-      (* median of 5 warm trials: one slow trial cannot fail the gate *)
-      let trials =
-        Array.init 5 (fun _ ->
-            Experiments.Overhead.nodes_per_ms ~repeats:10 ~budget:8000 ())
+(* --- exact allocation gates ------------------------------------------ *)
+
+(* Minor words [f] allocates on this domain.  [Gc.minor_words] is
+   unboxed, so the reads themselves allocate nothing. *)
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A node visit: ten placements down the heuristic path and back, 500
+   times, after one warm-up walk has sized the trail. *)
+let place_unplace_words () =
+  let st = Experiments.Overhead.synthetic_state ~seed:123 () in
+  let depth = 10 in
+  let walk () =
+    for d = 0 to depth - 1 do
+      Core.Search_state.place st ~depth:d ~job:(Core.Search_state.first_unused st)
+    done;
+    for d = depth - 1 downto 0 do
+      Core.Search_state.unplace st ~depth:d
+    done
+  in
+  walk ();
+  words (fun () ->
+      for _ = 1 to 500 do
+        walk ()
+      done)
+
+(* One sequential DDS run on a synthetic state whose buffers are sized
+   for a full path (a replica's are): what it allocates is its fixed
+   per-run arrays (the driver, the best path, the result), the same at
+   every budget. *)
+let dds_run_words budget =
+  let st =
+    Core.Search_state.replica (Experiments.Overhead.synthetic_state ~seed:123 ())
+  in
+  words (fun () -> ignore (Core.Search.run Core.Search.Dds ~budget st))
+
+(* The words each runner of [pool] has allocated so far: one task per
+   runner, held at a barrier until every runner has claimed one. *)
+let runner_words pool =
+  let n = Simcore.Pool.jobs pool in
+  let arrived = Atomic.make 0 in
+  let seen = Array.make n 0.0 in
+  Simcore.Pool.run pool n (fun who _ ->
+      Atomic.incr arrived;
+      while Atomic.get arrived < n do
+        Domain.cpu_relax ()
+      done;
+      seen.(who) <- Gc.minor_words ());
+  seen
+
+(* Minor words the helper domain of a 2-wide pool allocates over 20
+   split DDS searches at L=8K (after one warm-up search has grown the
+   caller's split workspace): its tasks, and its worker loop between
+   them. *)
+let helper_split_words () =
+  Simcore.Pool.with_pool ~jobs:2 (fun pool ->
+      let states =
+        Array.init 21 (fun i ->
+            Experiments.Overhead.synthetic_state ~seed:(2000 + i) ())
       in
-      let current = Simcore.Stats.percentile trials 50.0 in
-      let floor = 0.7 *. baseline in
-      Printf.printf "perf-smoke: %s = %.0f nodes/ms (baseline %.0f, floor %.0f)\n"
-        smoke_key current baseline floor;
-      if current < floor then begin
-        Printf.eprintf
-          "perf-smoke: FAIL — search hot path regressed more than 30%%\n";
-        exit 1
-      end;
-      Printf.printf "perf-smoke: OK\n"
+      let search st =
+        ignore (Core.Search.run ~pool Core.Search.Dds ~budget:8000 st)
+      in
+      search states.(0);
+      let before = runner_words pool in
+      for i = 1 to 20 do
+        search states.(i)
+      done;
+      let after = runner_words pool in
+      after.(1) -. before.(1))
+
+let allocation_gates () =
+  let place = place_unplace_words () in
+  let runs = List.map (fun l -> (l, dds_run_words l)) [ 1000; 8000; 100000 ] in
+  let fixed = snd (List.hd runs) in
+  let helper = helper_split_words () in
+  Printf.printf "perf-smoke: place/unplace allocates %.0f words over 10000 nodes
+"
+    place;
+  Printf.printf "perf-smoke: DDS run allocates %s words at L = 1K, 8K, 100K
+"
+    (String.concat ", " (List.map (fun (_, w) -> Printf.sprintf "%.0f" w) runs));
+  Printf.printf "perf-smoke: split helper allocates %.0f words over 20 searches
+"
+    helper;
+  let failures =
+    (if place <> 0.0 then [ "place/unplace allocates" ] else [])
+    @ (if List.exists (fun (_, w) -> w <> fixed) runs then
+         [ "DDS allocates per node (words grow with the budget)" ]
+       else [])
+    @ if helper <> 0.0 then [ "the split helper allocates" ] else []
+  in
+  List.iter (fun f -> Printf.eprintf "perf-smoke: FAIL — %s\n" f) failures;
+  failures = []
+
+(* --- throughput gates ------------------------------------------------- *)
+
+let snapshot_key = grid_key ~prefix:"snapshot" ~budget:8000 ~n:30
+
+let perf_smoke path =
+  let baseline key =
+    match baseline_value path key with
+    | Some v -> v
+    | None ->
+        Printf.eprintf "perf-smoke: no %s in %s\n" key path;
+        exit 2
+  in
+  let trail_base = baseline smoke_key and snapshot_base = baseline snapshot_key in
+  let alloc_ok = allocation_gates () in
+  warm_up ();
+  (* Five trials, each trail then snapshot back to back: the median
+     trail figure against the absolute floor, and the median
+     trail/snapshot ratio, in which host speed cancels, against the
+     committed ratio. *)
+  let trials =
+    Array.init 5 (fun _ ->
+        let trail = Experiments.Overhead.nodes_per_ms ~repeats:10 ~budget:8000 () in
+        let snapshot =
+          Experiments.Overhead.nodes_per_ms ~backtrack:Core.Search_state.Snapshot
+            ~repeats:10 ~budget:8000 ()
+        in
+        (trail, trail /. snapshot))
+  in
+  let median f = Simcore.Stats.percentile (Array.map f trials) 50.0 in
+  let current = median fst and ratio = median snd in
+  let floor = 0.7 *. trail_base in
+  let ratio_base = trail_base /. snapshot_base in
+  let ratio_floor = 0.7 *. ratio_base in
+  Printf.printf "perf-smoke: %s = %.0f nodes/ms (baseline %.0f, floor %.0f)\n"
+    smoke_key current trail_base floor;
+  Printf.printf
+    "perf-smoke: trail/snapshot = %.2f (baseline %.2f, floor %.2f)\n" ratio
+    ratio_base ratio_floor;
+  let speed_ok = current >= floor && ratio >= ratio_floor in
+  if current < floor then
+    Printf.eprintf
+      "perf-smoke: FAIL — search hot path regressed more than 30%%\n";
+  if ratio < ratio_floor then
+    Printf.eprintf
+      "perf-smoke: FAIL — trail backtracking lost more than 30%% against \
+       snapshot\n";
+  if not (alloc_ok && speed_ok) then exit 1;
+  Printf.printf "perf-smoke: OK\n"
 
 (* Write the three trace artifacts next to [path]: the decision JSONL
    and its Chrome view (simulated time, byte-identical for any

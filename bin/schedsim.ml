@@ -388,9 +388,9 @@ let experiment_cmd =
   let jobs_opt =
     Arg.(value & opt (some int) None
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain-pool width for experiment execution (default: \
-                   $(b,REPRO_JOBS) or recommended_domain_count - 1; 1 = \
-                   sequential).")
+             ~doc:"Domain-pool width for experiment execution and split \
+                   searches (default: $(b,REPRO_JOBS) or \
+                   recommended_domain_count; 1 = sequential).")
   in
   let run jobs ids =
     Option.iter Experiments.Common.set_jobs jobs;

@@ -378,16 +378,21 @@ let place_earliest t ~nodes ~duration =
   place_earliest_staged t ~nodes;
   staged_start t
 
-let copy t =
+let copy ?reuse t =
+  let t_op, t_time, t_free =
+    match reuse with
+    | Some old -> (old.t_op, old.t_time, old.t_free)
+    | None -> ([||], [||], [||])
+  in
   {
     capacity = t.capacity;
     times = Array.sub t.times 0 t.len;
     free = Array.sub t.free 0 t.len;
     len = t.len;
     trailing = false;
-    t_op = [||];
-    t_time = [||];
-    t_free = [||];
+    t_op;
+    t_time;
+    t_free;
     t_len = 0;
     scratch = Array.make 3 0.0;
     scan_stop = 0;
@@ -404,6 +409,25 @@ let copy_into ~src ~dst =
      any trail the destination carried. *)
   dst.trailing <- false;
   dst.t_len <- 0
+
+(* A placement adds at most one segment boundary ([carve]'s split at
+   the window finish) and four trail records (that insert, the range
+   subtraction and two merges). *)
+let make_room t room =
+  ensure_capacity t (t.len + room);
+  let records = t.t_len + (4 * room) in
+  if Array.length t.t_op < records then begin
+    let records = max records (2 * Array.length t.t_op) in
+    let op' = Array.make records 0 in
+    let time' = Array.make records 0.0 in
+    let free' = Array.make records 0 in
+    Array.blit t.t_op 0 op' 0 t.t_len;
+    Array.blit t.t_time 0 time' 0 t.t_len;
+    Array.blit t.t_free 0 free' 0 t.t_len;
+    t.t_op <- op';
+    t.t_time <- time';
+    t.t_free <- free'
+  end
 
 let pp fmt t =
   Format.fprintf fmt "[";

@@ -108,14 +108,22 @@ val trail_length : t -> int
 (** Number of recorded mutations (0 when trailing is off or fully
     undone).  For tests and instrumentation. *)
 
-val copy : t -> t
+val copy : ?reuse:t -> t -> t
 (** Independent copy of the segments.  The copy starts with an empty
-    trail and trailing off. *)
+    trail and trailing off.  [reuse], a profile that is no longer used,
+    lends its trail buffers — the one part of a search's profile that
+    grows with the path length — so that a copy per decision does not
+    allocate them again. *)
 
 val copy_into : src:t -> dst:t -> unit
 (** Restore [dst] to the state of [src]; both must share a capacity.
     Grows [dst]'s buffers if needed.  Clears [dst]'s trail and turns
     trailing off: marks taken before a [copy_into] are invalid. *)
+
+val make_room : t -> int -> unit
+(** [make_room t room] grows [t]'s buffers, if needed, so that [room]
+    more trailed {!place_earliest} reservations and their undo fit
+    without growing them again: nothing is allocated after it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the step function, e.g. ["[0s:12 3600s:64 7200s:128]"]. *)

@@ -44,6 +44,26 @@ let compare a b =
 
 let is_better ~candidate ~incumbent = compare candidate incumbent < 0
 
+(* [is_better] on unboxed components, for the search's leaf loop.  The
+   same expressions as [close] and [compare] with [Float.max] written
+   as local compares (equal on the non-NaN values objectives hold):
+   its out-of-line calls would box every argument.  Inlined, a call
+   allocates nothing. *)
+let[@inline] close_unboxed a b =
+  let a' = Float.abs a and b' = Float.abs b in
+  let m = if b' > a' then b' else a' in
+  Float.abs (a -. b) <= 1e-9 *. if m > 1.0 then m else 1.0
+
+let[@inline] is_better_unboxed ~jobs ~excess ~secondary_sum ~than_excess
+    ~than_secondary_sum =
+  if close_unboxed excess than_excess then
+    (not (close_unboxed secondary_sum than_secondary_sum))
+    && Float.compare
+         (secondary_sum /. float_of_int jobs)
+         (than_secondary_sum /. float_of_int jobs)
+       < 0
+  else Float.compare excess than_excess < 0
+
 let pp fmt t =
   Format.fprintf fmt "excess=%.2fh avg_secondary=%.2f (%d jobs)"
     (Simcore.Units.to_hours t.excess)

@@ -52,4 +52,16 @@ val compare : t -> t -> int
 val is_better : candidate:t -> incumbent:t -> bool
 (** [compare candidate incumbent < 0]. *)
 
+val is_better_unboxed :
+  jobs:int ->
+  excess:float ->
+  secondary_sum:float ->
+  than_excess:float ->
+  than_secondary_sum:float ->
+  bool
+(** [is_better] on the components of two objectives over the same
+    [jobs >= 1] jobs, without building either record: the search's
+    per-leaf test.  Gives the same answer as [is_better] on every
+    finite input (tested); inlined, it allocates nothing. *)
+
 val pp : Format.formatter -> t -> unit

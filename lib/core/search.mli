@@ -39,6 +39,7 @@ type result = {
 val run :
   ?prune:bool ->
   ?probe:Simcore.Probe.t ->
+  ?pool:Simcore.Pool.t ->
   algorithm ->
   budget:int ->
   Search_state.t ->
@@ -56,4 +57,23 @@ val run :
     Probe writes happen only at incumbent improvements (leaf
     boundaries) and once at the end of the run — never per
     {!Search_state.place} — so the hot path stays allocation-free with
-    the probe on (enforced by the allocation test suite). *)
+    the probe on (enforced by the allocation test suite).
+
+    [pool], when given, splits a DDS run without [prune] across the
+    pool's domains; the result, the probe fields and the state after
+    the run are exactly those of the run without a pool, at any pool
+    width.  The caller walks iteration 0; the rest of the budgeted node
+    sequence is cut into one contiguous run per domain, each walked on
+    its own {!Search_state.replica} and logging every leaf's objective;
+    the caller then folds {!Objective.is_better} over all leaves in
+    DFS order and replays the winner's path.  Every other algorithm,
+    [prune], a [Snapshot] state and a state with an [on_place] hook
+    ignore [pool] and run the sequential kernel.  A pool busy with
+    another batch runs the split inline in the caller (still exact). *)
+
+val split_nodes : ?prune:bool -> algorithm -> budget:int -> int -> int
+(** [split_nodes algo ~budget n] is the number of nodes after iteration
+    0 that [run ?pool] would share out on a fresh state of [n] jobs: 0
+    unless [algo] is [Dds] without [prune], else the budget left after
+    the heuristic path, capped by the size of the tree (closed form; no
+    search). *)

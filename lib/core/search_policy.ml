@@ -67,9 +67,30 @@ let state_of ?usage config (ctx : Sched.Policy.context) =
   Search_state.create ~secondary:config.goal ~now:ctx.now ~profile ~jobs
     ~durations ~thresholds ()
 
+(* A decision splits its search across the shared pool only when the
+   nodes it shares out (about 260 ns each on the month-scale profiles)
+   clearly outweigh posting a batch and waking a helper domain (tens of
+   microseconds).  A budget of 1 never reaches it, so such a run never
+   creates the pool; a decision that already runs on a busy pool (an
+   experiment's simulation running as a pool task) keeps the sequential
+   kernel, which is what its batch would run inline anyway. *)
+let split_min_nodes = 1024
+
+let pool_for config state =
+  if
+    Search.split_nodes ~prune:config.prune config.algorithm
+      ~budget:config.budget (Search_state.job_count state)
+    >= split_min_nodes
+    && Simcore.Pool.shared_jobs () > 1
+  then
+    let pool = Simcore.Pool.shared () in
+    if Simcore.Pool.idle pool then Some pool else None
+  else None
+
 let search ?probe config state =
-  let result = Search.run ~prune:config.prune ?probe config.algorithm
-      ~budget:config.budget state
+  let result =
+    Search.run ~prune:config.prune ?probe ?pool:(pool_for config state)
+      config.algorithm ~budget:config.budget state
   in
   if config.local_search then
     Local_search.improve ~budget:(config.budget / 4) state result

@@ -72,11 +72,40 @@ let create ?(secondary = Objective.Bounded_slowdown) ?(backtrack = Trail)
   reset_links t;
   t
 
+let replicable t = t.backtrack = Trail && Option.is_none t.on_place
+
+let replica ?into t =
+  if not (replicable t) then
+    invalid_arg "Search_state.replica: needs Trail backtracking and no hook";
+  let n = Array.length t.jobs in
+  let work =
+    Cluster.Profile.copy ?reuse:(Option.map (fun r -> r.work) into) t.base
+  in
+  Cluster.Profile.make_room work n;
+  let r =
+    {
+      t with
+      work;
+      marks = Array.make n 0;
+      used = Array.make n false;
+      unext = Array.make (n + 1) 0;
+      uprev = Array.make (n + 1) 0;
+      chosen = Array.make n (-1);
+      starts = Array.make n 0.0;
+      p_excess = Array.make n 0.0;
+      p_secondary = Array.make n 0.0;
+      visited = 0;
+    }
+  in
+  reset_links r;
+  r
+
 let secondary t = t.secondary
 let backtrack t = t.backtrack
 let job_count t = Array.length t.jobs
 let now t = t.now
 let nodes_visited t = t.visited
+let set_nodes_visited t n = t.visited <- n
 
 let place t ~depth ~job =
   assert (not t.used.(job));
@@ -167,6 +196,8 @@ let partial t ~depth =
   }
 
 let leaf_objective t = partial t ~depth:(Array.length t.jobs - 1)
+let leaf_excess t = t.p_excess.(Array.length t.jobs - 1)
+let leaf_secondary t = t.p_secondary.(Array.length t.jobs - 1)
 
 let nth_unused t r =
   let sentinel = Array.length t.jobs in

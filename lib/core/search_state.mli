@@ -51,6 +51,22 @@ val create :
     record visit sequences; leave unset on the hot path.
     @raise Invalid_argument on array length mismatch. *)
 
+val replicable : t -> bool
+(** [Trail] backtracking and no [on_place] hook: the states {!replica}
+    accepts. *)
+
+val replica : ?into:t -> t -> t
+(** A fresh state over the same decision point (profile, jobs,
+    durations, thresholds, goal), with nothing placed and a node
+    counter of 0, that shares only the read-only inputs with [t]: it
+    can search on another domain while [t] is used here.  Its buffers
+    are sized for a full path, so placing and unplacing on it never
+    allocates.  [into], a replica of an earlier decision point that is
+    no longer searched, lends its trail buffers (sized for four
+    records per placement, the one large part for long queues), so
+    that a replica per decision allocates only small arrays.
+    @raise Invalid_argument unless [replicable t]. *)
+
 val secondary : t -> Objective.secondary
 val backtrack : t -> backtrack
 
@@ -59,6 +75,10 @@ val now : t -> float
 
 val nodes_visited : t -> int
 (** Total placements performed so far (the paper's "nodes"). *)
+
+val set_nodes_visited : t -> int -> unit
+(** Overwrite the node counter: a search that visits nodes on
+    {!replica}s books their count here. *)
 
 val place : t -> depth:int -> job:int -> unit
 (** [place t ~depth ~job] chooses job index [job] at [depth] and places
@@ -84,6 +104,12 @@ val partial : t -> depth:int -> Objective.t
 
 val leaf_objective : t -> Objective.t
 (** Objective of a complete path (depth [n-1] placed). *)
+
+val leaf_excess : t -> float
+val leaf_secondary : t -> float
+(** The two components of {!leaf_objective}, without building the
+    record (inlined in release builds, so reading them allocates
+    nothing). *)
 
 val nth_unused : t -> int -> int option
 (** [nth_unused t r] is the index of the [r]-th unused job in

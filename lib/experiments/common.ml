@@ -50,47 +50,10 @@ let months, reset_months =
 (* ------------------------------------------------------------------ *)
 (* Parallel execution: one process-wide domain pool                    *)
 
-let jobs_cell = ref None
-
-let jobs () =
-  match !jobs_cell with
-  | Some j -> j
-  | None ->
-      let j =
-        match Sys.getenv_opt "REPRO_JOBS" with
-        | Some s -> (
-            match int_of_string_opt s with
-            | Some v when v >= 1 -> v
-            | _ -> Simcore.Pool.default_jobs ())
-        | None -> Simcore.Pool.default_jobs ()
-      in
-      jobs_cell := Some j;
-      j
-
-let pool_cell = ref None
-
-let shutdown_pool () =
-  match !pool_cell with
-  | None -> ()
-  | Some p ->
-      pool_cell := None;
-      Simcore.Pool.shutdown p
-
-let set_jobs j =
-  let j = max 1 j in
-  if !jobs_cell <> Some j then begin
-    shutdown_pool ();
-    jobs_cell := Some j
-  end
-
-let pool () =
-  match !pool_cell with
-  | Some p -> p
-  | None ->
-      let p = Simcore.Pool.create ~jobs:(jobs ()) in
-      pool_cell := Some p;
-      p
-
+let jobs = Simcore.Pool.shared_jobs
+let set_jobs = Simcore.Pool.set_shared_jobs
+let pool = Simcore.Pool.shared
+let shutdown_pool = Simcore.Pool.shutdown_shared
 let par_iter f xs = Simcore.Pool.iter (pool ()) ~f xs
 let par_map f xs = Simcore.Pool.map (pool ()) ~f xs
 let prefetch thunks = par_iter (fun f -> f ()) thunks

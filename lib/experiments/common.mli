@@ -28,14 +28,15 @@ val months : unit -> Workload.Month_profile.t list
 
 (** {2 Parallel execution}
 
-    One process-wide domain pool, sized by the [REPRO_JOBS] environment
-    variable (or a [-j] flag via [set_jobs]; default:
-    [Domain.recommended_domain_count () - 1], at least 1).  [jobs = 1]
-    preserves the sequential path exactly: no domain is spawned and
-    work runs in submission order in the caller. *)
+    The process-wide domain pool, {!Simcore.Pool.shared}: sized by the
+    [REPRO_JOBS] environment variable (or a [-j] flag via [set_jobs];
+    default: [Domain.recommended_domain_count ()], at least 1).
+    [jobs = 1] preserves the sequential path exactly: no domain is
+    spawned and work runs in submission order in the caller.  The
+    search policies use the same pool, so a process has one. *)
 
 val jobs : unit -> int
-(** The resolved concurrency width. *)
+(** The resolved concurrency width ({!Simcore.Pool.shared_jobs}). *)
 
 val set_jobs : int -> unit
 (** Override the width (clamped to >= 1); shuts down and re-creates

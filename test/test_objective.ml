@@ -120,6 +120,27 @@ let prop_add_monotone =
       && o.Objective.secondary_sum >= base.Objective.secondary_sum +. 1.0
       && o.Objective.jobs = 4)
 
+(* The search's per-leaf test must agree with [is_better] everywhere,
+   near-ties under the 1e-9 relative tolerance included: pairs are
+   drawn as a base value plus perturbations from exactly equal through
+   the tolerance's edge to clearly apart. *)
+let prop_is_better_unboxed =
+  let component =
+    QCheck.(
+      map
+        (fun (base, k, e) -> (base, base *. (1.0 +. (float_of_int k *. e))))
+        (triple (float_range 0.0 1e7) (int_range (-3) 3)
+           (oneofl [ 0.0; 1e-12; 5e-10; 1e-9; 2e-9; 1e-6; 0.1 ])))
+  in
+  QCheck.Test.make ~name:"is_better_unboxed = is_better" ~count:2000
+    QCheck.(triple component component (int_range 1 60))
+    (fun ((e1, e2), (s1, s2), jobs) ->
+      let candidate = { Objective.excess = e1; secondary_sum = s1; jobs } in
+      let incumbent = { Objective.excess = e2; secondary_sum = s2; jobs } in
+      Objective.is_better ~candidate ~incumbent
+      = Objective.is_better_unboxed ~jobs ~excess:e1 ~secondary_sum:s1
+          ~than_excess:e2 ~than_secondary_sum:s2)
+
 let suite =
   [
     Alcotest.test_case "zero" `Quick test_zero;
@@ -134,4 +155,5 @@ let suite =
     Alcotest.test_case "runtime-scaled bound" `Quick test_bound_runtime_scaled;
     Alcotest.test_case "bound names" `Quick test_bound_names;
     QCheck_alcotest.to_alcotest prop_add_monotone;
+    QCheck_alcotest.to_alcotest prop_is_better_unboxed;
   ]

@@ -60,6 +60,77 @@ let test_shutdown_idempotent () =
     (Invalid_argument "Simcore.Pool: pool is shut down") (fun () ->
       ignore (Pool.map pool ~f:Fun.id [ 1 ] : int list))
 
+(* A batch posted from inside one of the pool's tasks cannot wait for
+   the pool (it would wait for itself): it runs inline, in order, on
+   the posting runner's slot. *)
+let test_nested_batch_inline () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let inner =
+        Pool.map pool
+          ~f:(fun k ->
+            let order = ref [] in
+            Pool.run pool 4 (fun who i -> order := (who, i) :: !order);
+            (k, List.rev !order))
+          [ 1; 2; 3; 4 ]
+      in
+      List.iter
+        (fun (k, order) ->
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "task %d: inner batch inline, in order" k)
+            [ (0, 0); (0, 1); (0, 2); (0, 3) ]
+            order)
+        inner)
+
+(* A batch posted from another domain while a batch holds the pool
+   runs inline in that domain instead of queueing. *)
+let test_concurrent_batch_inline () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let inner = ref [] in
+      Pool.run pool 1 (fun _ _ ->
+          (* the outer batch is running until this task returns *)
+          let other =
+            Domain.spawn (fun () ->
+                let order = ref [] in
+                Pool.run pool 3 (fun who i -> order := (who, i) :: !order);
+                List.rev !order)
+          in
+          inner := Domain.join other);
+      Alcotest.(check (list (pair int int)))
+        "inline, in order" [ (0, 0); (0, 1); (0, 2) ] !inner)
+
+(* Domain ids are handed out in spawn order, so the id of a probe
+   domain tells how many domains were spawned since the last probe. *)
+let next_domain_id () =
+  Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+let test_width1_spawns_nothing () =
+  let before = next_domain_id () in
+  Pool.with_pool ~jobs:1 (fun pool ->
+      Pool.iter pool ~f:ignore [ 1; 2; 3 ];
+      ignore (Pool.map pool ~f:Fun.id [ 4; 5 ] : int list));
+  Alcotest.(check int) "no domain spawned by a width-1 pool" (before + 1)
+    (next_domain_id ())
+
+(* Experiments.Common's pool functions drive the one shared pool. *)
+let test_common_drives_shared_pool () =
+  let saved = Experiments.Common.jobs () in
+  Fun.protect
+    ~finally:(fun () ->
+      Experiments.Common.set_jobs saved;
+      Experiments.Common.shutdown_pool ())
+    (fun () ->
+      Experiments.Common.set_jobs 3;
+      Alcotest.(check int) "jobs" 3 (Experiments.Common.jobs ());
+      Alcotest.(check int) "shared width" 3 (Pool.shared_jobs ());
+      let p = Experiments.Common.pool () in
+      Alcotest.(check bool) "same pool" true (p == Pool.shared ());
+      Alcotest.(check int) "pool width" 3 (Pool.jobs p);
+      Experiments.Common.shutdown_pool ();
+      let q = Pool.shared () in
+      Alcotest.(check bool) "recreated after shutdown" true (q != p);
+      Experiments.Common.set_jobs 2;
+      Alcotest.(check int) "resized" 2 (Pool.jobs (Experiments.Common.pool ())))
+
 let test_memo_compute_once_concurrent () =
   let memo : (int, int) Memo.t = Memo.create () in
   let forcings = Atomic.make 0 in
@@ -154,4 +225,12 @@ let suite =
     Alcotest.test_case "memo failure cached" `Quick test_memo_failure_cached;
     Alcotest.test_case "Common.simulate coherence stress" `Quick
       test_common_simulate_stress;
+    Alcotest.test_case "nested batch runs inline" `Quick
+      test_nested_batch_inline;
+    Alcotest.test_case "concurrent batch runs inline" `Quick
+      test_concurrent_batch_inline;
+    Alcotest.test_case "width 1 spawns no domain" `Quick
+      test_width1_spawns_nothing;
+    Alcotest.test_case "Common drives the shared pool" `Quick
+      test_common_drives_shared_pool;
   ]

@@ -350,6 +350,154 @@ let test_dds_beats_lds_to_root_discrepancies () =
   Alcotest.(check bool) "DDS at least as good under tiny budget" true
     (Objective.compare dds.Search.best lds.Search.best <= 0)
 
+(* --- the split search equals the sequential one --- *)
+
+(* Identical jobs whose submit times differ by far less than the
+   objective's 1e-9 relative tolerance: many leaves tie under
+   [Objective.close] without being equal, which is where a fold that
+   merged per-slot winners instead of running over every leaf would
+   pick a different incumbent ([is_better] is not transitive). *)
+let near_tie_jobs rng n =
+  let nodes = 1 + Simcore.Rng.int rng 8 in
+  let runtime = 60.0 +. Simcore.Rng.float rng 5000.0 in
+  List.init n (fun id ->
+      Helpers.job ~id
+        ~submit:(500.0 +. (1e-7 *. float_of_int (Simcore.Rng.int rng 4)))
+        ~nodes ~runtime ())
+
+let bits = Int64.bits_of_float
+
+let same_result (a : Search.result) (b : Search.result) =
+  bits a.best.excess = bits b.best.excess
+  && bits a.best.secondary_sum = bits b.best.secondary_sum
+  && a.best.jobs = b.best.jobs
+  && a.best_order = b.best_order
+  && Array.map bits a.best_starts = Array.map bits b.best_starts
+  && a.nodes_visited = b.nodes_visited
+  && a.leaves_evaluated = b.leaves_evaluated
+  && a.iterations = b.iterations
+  && a.exhausted = b.exhausted
+
+(* Budgets at every kind of cut-off for [n] jobs: below one path, on
+   and around the end of iteration 1 (n (n - 1) nodes), on the
+   boundaries of iteration 2's depth-0 subtrees (1 + (n - 1) (n - 2)
+   nodes each), inside a subtree, and (small trees) past the end. *)
+let split_budgets rng n =
+  let t1 = n * (n - 1) and sub2 = 1 + ((n - 1) * (n - 2)) in
+  List.filter
+    (fun b -> b >= 1)
+    ([ 1; n - 1; n; n + 1; n + t1 - 1; n + t1; n + t1 + 1; n + t1 + sub2;
+       n + t1 + (2 * sub2); n + t1 + (2 * sub2) + 1 + Simcore.Rng.int rng sub2;
+       n + 1 + Simcore.Rng.int rng 2500 ]
+    @ if n <= 6 then [ max_int ] else [])
+
+let split_matches pools seed =
+  let rng = Simcore.Rng.create ~seed in
+  let n = 2 + Simcore.Rng.int rng 11 in
+  let jobs =
+    if Simcore.Rng.int rng 3 = 0 then near_tie_jobs rng n
+    else random_jobs rng n
+  in
+  let releases = random_releases rng in
+  let make () =
+    make_state ~now:1100.0 ~releases ~bound:(Bound.fixed_hours 0.5)
+      ~heuristic:Branching.Lxf jobs
+  in
+  List.for_all
+    (fun budget ->
+      let probe = Simcore.Probe.create () in
+      let state = make () in
+      let sequential = Search.run ~probe Search.Dds ~budget state in
+      List.for_all
+        (fun pool ->
+          let split_probe = Simcore.Probe.create () in
+          let split_state = make () in
+          let split =
+            Search.run ~probe:split_probe ~pool Search.Dds ~budget split_state
+          in
+          same_result sequential split
+          && probe = split_probe
+          && Search_state.nodes_visited state
+             = Search_state.nodes_visited split_state
+          && Search_state.first_unused split_state = 0
+          && List.for_all
+               (fun depth -> Search_state.chosen split_state ~depth = -1)
+               (List.init n Fun.id))
+        pools)
+    (split_budgets rng n)
+
+let test_split_equals_sequential () =
+  Simcore.Pool.with_pool ~jobs:1 (fun p1 ->
+      Simcore.Pool.with_pool ~jobs:2 (fun p2 ->
+          Simcore.Pool.with_pool ~jobs:3 (fun p3 ->
+              QCheck.Test.check_exn
+                (QCheck.Test.make
+                   ~name:"split DDS = sequential DDS (widths 1-3, n <= 12)"
+                   ~count:60 QCheck.small_int
+                   (split_matches [ p1; p2; p3 ])))))
+
+(* Everything the split must not touch runs the sequential kernel: the
+   same result, and not one task posted to the pool (a traced pool
+   records a span per task it fans out). *)
+let test_split_ignored_where_sequential () =
+  let rng = Simcore.Rng.create ~seed:21 in
+  let jobs = random_jobs rng 7 in
+  Simcore.Pool.with_pool ~jobs:2 (fun pool ->
+      Simcore.Pool.set_tracing pool true;
+      List.iter
+        (fun (label, algo, prune, backtrack, hooked) ->
+          let run pool =
+            let on_place =
+              if hooked then Some (fun ~depth:_ ~job:_ ~start:_ -> ())
+              else None
+            in
+            let state =
+              make_state ~backtrack ?on_place ~heuristic:Branching.Lxf jobs
+            in
+            Search.run ~prune ?pool algo ~budget:3000 state
+          in
+          let r0 = run None and r1 = run (Some pool) in
+          Alcotest.(check bool) (label ^ ": same result") true
+            (same_result r0 r1);
+          Alcotest.(check int) (label ^ ": no task posted") 0
+            (List.length (Simcore.Pool.spans pool)))
+        [ ("dds +bnb", Search.Dds, true, Search_state.Trail, false);
+          ("lds", Search.Lds, false, Search_state.Trail, false);
+          ("lds0", Search.Lds_original, false, Search_state.Trail, false);
+          ("dfs", Search.Dfs, false, Search_state.Trail, false);
+          ("dds snapshot", Search.Dds, false, Search_state.Snapshot, false);
+          ("dds on_place", Search.Dds, false, Search_state.Trail, true) ];
+      (* and the plain DDS run does fan out *)
+      ignore
+        (Search.run ~pool Search.Dds ~budget:3000
+           (make_state ~heuristic:Branching.Lxf jobs));
+      Alcotest.(check bool) "dds: fans out" true
+        (Simcore.Pool.spans pool <> []))
+
+let test_split_nodes_closed_form () =
+  (* n = 34: iteration 1 has 34 * 33 nodes, iteration 2 34 subtrees of
+     1 + 32 * 33 *)
+  Alcotest.(check int) "iteration 1" 1122
+    (Search.split_nodes Search.Dds ~budget:(34 + 1122) 34);
+  Alcotest.(check int) "capped by the budget" 8351
+    (Search.split_nodes Search.Dds ~budget:8385 34);
+  Alcotest.(check int) "iterations 1 and 2" (1122 + 35938)
+    (Search.split_nodes Search.Dds ~budget:max_int 34
+     |> min (1122 + 35938));
+  Alcotest.(check int) "no room after the heuristic path" 0
+    (Search.split_nodes Search.Dds ~budget:1 34);
+  Alcotest.(check int) "branch-and-bound stays sequential" 0
+    (Search.split_nodes ~prune:true Search.Dds ~budget:10_000 34);
+  Alcotest.(check int) "LDS stays sequential" 0
+    (Search.split_nodes Search.Lds ~budget:10_000 34);
+  (* a whole small tree: DDS visits every node of the n! leaves' tree
+     once beyond the heuristic path *)
+  let state = make_state ~heuristic:Branching.Fcfs (random_jobs (Simcore.Rng.create ~seed:2) 5) in
+  let r = Search.run Search.Dds ~budget:max_int state in
+  Alcotest.(check int) "exhausted tree"
+    (r.Search.nodes_visited - 5)
+    (Search.split_nodes Search.Dds ~budget:max_int 5)
+
 let suite =
   [
     Alcotest.test_case "place semantics" `Quick test_place_semantics;
@@ -375,4 +523,10 @@ let suite =
     Alcotest.test_case "empty state rejected" `Quick test_empty_state_rejected;
     Alcotest.test_case "DDS vs LDS under tiny budget" `Quick
       test_dds_beats_lds_to_root_discrepancies;
+    Alcotest.test_case "split DDS = sequential DDS" `Quick
+      test_split_equals_sequential;
+    Alcotest.test_case "split skipped where sequential" `Quick
+      test_split_ignored_where_sequential;
+    Alcotest.test_case "split node counts closed form" `Quick
+      test_split_nodes_closed_form;
   ]

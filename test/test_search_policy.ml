@@ -134,6 +134,52 @@ let test_local_search_finds_swap () =
   Alcotest.(check bool) "swap improves excess" true
     (improved.Search.best.Objective.excess < base.Search.best.Objective.excess)
 
+(* --- the shared pool --- *)
+
+let with_shared_jobs jobs f =
+  let saved = Simcore.Pool.shared_jobs () in
+  Fun.protect
+    ~finally:(fun () ->
+      Simcore.Pool.set_shared_jobs saved;
+      Simcore.Pool.shutdown_shared ())
+    (fun () ->
+      Simcore.Pool.set_shared_jobs jobs;
+      f ())
+
+let simulate_mini ~budget =
+  let trace = Helpers.mini_trace ~n:120 ~capacity:16 ~horizon:3600.0 ~seed:5 () in
+  let policy = fst (Search_policy.policy (Search_policy.dds_lxf_dynb ~budget)) in
+  Sim.Engine.run ~machine:(Cluster.Machine.v ~nodes:16) ~r_star:Sim.Engine.Actual
+    ~policy trace
+
+(* A policy whose decisions split across a 2-wide shared pool schedules
+   exactly as one that searches on a single domain. *)
+let test_split_policy_equals_sequential () =
+  let sequential = with_shared_jobs 1 (fun () -> simulate_mini ~budget:5000) in
+  let split, spans =
+    with_shared_jobs 2 (fun () ->
+        Simcore.Pool.set_tracing (Simcore.Pool.shared ()) true;
+        let r = simulate_mini ~budget:5000 in
+        (r, List.length (Simcore.Pool.spans (Simcore.Pool.shared ()))))
+  in
+  Alcotest.(check bool) "some decisions split" true (spans > 0);
+  Alcotest.(check int) "same decisions" sequential.Sim.Engine.decisions
+    split.Sim.Engine.decisions;
+  Alcotest.(check bool) "same outcomes" true
+    (sequential.Sim.Engine.outcomes = split.Sim.Engine.outcomes)
+
+let next_domain_id () =
+  Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+(* A budget of 1 never has nodes to share out: the policy never asks for
+   the shared pool, which is therefore never created. *)
+let test_budget_one_spawns_nothing () =
+  with_shared_jobs 2 (fun () ->
+      Simcore.Pool.shutdown_shared ();
+      let before = next_domain_id () in
+      ignore (simulate_mini ~budget:1 : Sim.Engine.result);
+      Alcotest.(check int) "no domain spawned" (before + 1) (next_domain_id ()))
+
 let suite =
   [
     Alcotest.test_case "policy names" `Quick test_names;
@@ -145,4 +191,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_local_search_never_worse;
     Alcotest.test_case "local search finds a swap" `Quick
       test_local_search_finds_swap;
+    Alcotest.test_case "split policy = sequential policy" `Quick
+      test_split_policy_equals_sequential;
+    Alcotest.test_case "budget of one spawns no domain" `Quick
+      test_budget_one_spawns_nothing;
   ]

@@ -99,8 +99,8 @@ let test_probe_exhaustive_and_reuse () =
 (* --- allocation: the probe must not touch the per-node budget --- *)
 
 (* The node visit itself: a place/unplace walk with no leaf
-   evaluation.  In release this is exactly 0 words (perf-json numbers
-   are recorded there); the dev profile pays a few boxed floats at
+   evaluation.  In release this is exactly 0 words, which
+   @perf-smoke pins; the dev profile pays a few boxed floats at
    uninlined module boundaries (~3 words/node today), so the test
    bounds it rather than pinning zero — a per-node record or closure
    would blow well past the bound. *)
