@@ -288,7 +288,7 @@ let report_cmd =
     let series =
       Sim.Series.create ~threshold ~policy:policy.Sched.Policy.name ()
     in
-    let metrics = Simcore.Metrics.create ~enabled:true () in
+    let metrics = Simcore.Metrics.create () in
     let run =
       Sim.Run.simulate ~record:[ Series series; Metrics metrics ] ~r_star:rstar
         ~policy trace
@@ -312,8 +312,7 @@ let report_cmd =
         Sim.Series.pp_jsonl f series);
     let om_path = base ^ ".om" in
     Experiments.Common.write_file om_path (fun f ->
-        Simcore.Metrics.pp_openmetrics f
-          (metrics :: Option.to_list policy.Sched.Policy.metrics));
+        Simcore.Metrics.pp_openmetrics f metrics);
     Format.fprintf fmt "policy:    %s@." label;
     Format.fprintf fmt "series:    %d observations, %d samples (stride %d)@."
       (Sim.Series.observed series)

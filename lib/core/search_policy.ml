@@ -92,9 +92,15 @@ let search ?probe config state =
     Search.run ~prune:config.prune ?probe ?pool:(pool_for config state)
       config.algorithm ~budget:config.budget state
   in
-  if config.local_search then
-    Local_search.improve ~budget:(config.budget / 4) state result
-  else result
+  if not config.local_search then result
+  else begin
+    let result = Local_search.improve ~budget:(config.budget / 4) state result in
+    (* the probe counts the local search's nodes too, as [stats] does *)
+    (match probe with
+    | Some p -> p.Simcore.Probe.nodes <- result.Search.nodes_visited
+    | None -> ());
+    result
+  end
 
 let decide_detailed config ctx =
   match ctx.Sched.Policy.waiting with
@@ -107,36 +113,9 @@ let policy config =
   let total_leaves = ref 0 in
   let max_queue = ref 0 in
   (* One preallocated probe per policy instance, overwritten at every
-     decision; the engine's decision log snapshots it after [decide]. *)
+     decision; a run's decision log and metric instruments read it
+     after [decide]. *)
   let probe = Simcore.Probe.create () in
-  (* Policy-owned metric registry (the Sched.Policy metric hook).
-     Created disabled, so recording below is a load+branch until a
-     reporting surface enables it. *)
-  let metrics = Simcore.Metrics.create () in
-  let m_decisions =
-    Simcore.Metrics.counter metrics "schedsim_search_decisions"
-      ~help:"decision points at which the tree search ran"
-  in
-  let m_nodes =
-    Simcore.Metrics.counter metrics "schedsim_search_nodes"
-      ~help:"search nodes visited across all decisions"
-  in
-  let m_leaves =
-    Simcore.Metrics.counter metrics "schedsim_search_leaves"
-      ~help:"complete schedules evaluated across all decisions"
-  in
-  let m_exhausted =
-    Simcore.Metrics.counter metrics "schedsim_search_exhausted"
-      ~help:"decisions whose whole tree fit in the node budget"
-  in
-  let m_improvements =
-    Simcore.Metrics.counter metrics "schedsim_search_improvements"
-      ~help:"incumbent improvements across all decisions"
-  in
-  let m_nodes_per_decision =
-    Simcore.Metrics.histogram metrics "schedsim_search_nodes_per_decision"
-      ~help:"search nodes visited per decision point"
-  in
   let usage =
     match config.fairshare with
     | None -> None
@@ -155,13 +134,6 @@ let policy config =
         total_nodes := !total_nodes + result.Search.nodes_visited;
         total_leaves := !total_leaves + result.Search.leaves_evaluated;
         max_queue := Stdlib.max !max_queue (Search_state.job_count state);
-        Simcore.Metrics.incr m_decisions;
-        Simcore.Metrics.add m_nodes result.Search.nodes_visited;
-        Simcore.Metrics.add m_leaves result.Search.leaves_evaluated;
-        if result.Search.exhausted then Simcore.Metrics.incr m_exhausted;
-        Simcore.Metrics.add m_improvements probe.Simcore.Probe.improvements;
-        Simcore.Metrics.observe m_nodes_per_decision
-          result.Search.nodes_visited;
         let started =
           Search_state.start_now_set state ~order:result.Search.best_order
             ~starts:result.Search.best_starts
@@ -184,7 +156,5 @@ let policy config =
       max_queue = !max_queue;
     }
   in
-  ( { (Sched.Policy.make ~name:(name config) ~decide) with
-      probe = Some probe;
-      metrics = Some metrics },
-    stats )
+  ({ (Sched.Policy.make ~name:(name config) ~decide) with probe = Some probe },
+   stats)

@@ -52,10 +52,10 @@ type stats = {
 val policy : config -> Sched.Policy.t * (unit -> stats)
 (** The scheduling policy plus an accessor for its cumulative search
     statistics (tests read it; most callers take [fst]).  The policy
-    carries a per-instance search-effort probe and a (disabled)
-    run-health metric registry of search counters — a [Metrics]
-    recorder of [Sim.Run] enables it, to include search effort in an
-    OpenMetrics exposition. *)
+    carries a per-instance search-effort probe, which a run's [Log] and
+    [Metrics] recorders of [Sim.Run] read after each decision; its
+    [nodes] include a local search's ([+ls]) evaluation cost, as
+    [total_nodes] does. *)
 
 val decide_detailed :
   config -> Sched.Policy.context -> Search.result option

@@ -37,9 +37,7 @@ let run fmt =
           for d = 0 to n_days - 1 do
             let from_ = start +. (float_of_int d *. Simcore.Units.day) in
             let upto = Float.min stop (from_ +. Simcore.Units.day) in
-            Format.fprintf fmt " %5.0f"
-              (Sim.Engine.windowed_queue_average run.Sim.Run.queue_samples
-                 ~from_ ~upto)
+            Format.fprintf fmt " %5.0f" (Sim.Run.queue_average run ~from_ ~upto)
           done;
           Format.pp_print_newline fmt ())
         policies

@@ -239,27 +239,8 @@ let fcfs_max_threshold ~r_star profile load =
 let fcfs_p98_threshold ~r_star profile load =
   (fcfs_run ~r_star profile load).Sim.Run.aggregate.Metrics.Aggregate.p98_wait
 
-let dds_lxf_dynb ~budget () =
-  fst (Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget))
-
 let search_policy config () = fst (Core.Search_policy.policy config)
 
 let section fmt ~id title =
   Format.fprintf fmt "@.%s@.== %s: %s@.%s@." (String.make 72 '=') id title
     (String.make 72 '=')
-
-let row_header fmt label = Format.fprintf fmt "%-34s" label
-
-let pp_month_columns fmt ~months ~rows =
-  Format.fprintf fmt "%-34s" "";
-  List.iter
-    (fun m ->
-      Format.fprintf fmt " %8s" m.Workload.Month_profile.label)
-    months;
-  Format.pp_print_newline fmt ();
-  List.iter
-    (fun (label, value) ->
-      row_header fmt label;
-      List.iter (fun m -> Format.fprintf fmt " %8.2f" (value m)) months;
-      Format.pp_print_newline fmt ())
-    rows

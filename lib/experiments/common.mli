@@ -148,20 +148,7 @@ val fcfs_p98_threshold :
   r_star:Sim.Engine.r_star -> Workload.Month_profile.t -> load -> float
 (** FCFS-backfill 98th-percentile wait of the month, seconds. *)
 
-val dds_lxf_dynb : budget:int -> unit -> Sched.Policy.t
-(** Fresh instance of the paper's headline policy. *)
-
 val search_policy : Core.Search_policy.config -> unit -> Sched.Policy.t
 
 val section : Format.formatter -> id:string -> string -> unit
 (** Print a section banner. *)
-
-val row_header : Format.formatter -> string -> unit
-
-val pp_month_columns :
-  Format.formatter ->
-  months:Workload.Month_profile.t list ->
-  rows:(string * (Workload.Month_profile.t -> float)) list ->
-  unit
-(** Table with one column per month and one line per (label, value)
-    row. *)

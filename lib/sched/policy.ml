@@ -9,10 +9,9 @@ type t = {
   name : string;
   decide : context -> Workload.Job.t list;
   probe : Simcore.Probe.t option;
-  metrics : Simcore.Metrics.t option;
 }
 
-let make ~name ~decide = { name; decide; probe = None; metrics = None }
+let make ~name ~decide = { name; decide; probe = None }
 
 let profile_of ctx =
   let machine = Cluster.Running_set.machine ctx.running in

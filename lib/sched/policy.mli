@@ -25,17 +25,13 @@ type t = {
       (** search-effort record the policy overwrites on every [decide]
           ([None] for policies that do not search).  A decision log's
           observer ([Sim.Decision_log.observer]) snapshots it after
-          each decision. *)
-  metrics : Simcore.Metrics.t option;
-      (** policy-owned run-health metric registry ([None] for plain
-          policies).  Created disabled; a [Metrics] recorder of
-          [Sim.Run.simulate] enables it, and a reporting surface
-          exposes it alongside the engine's own registry
-          ([Simcore.Metrics.pp_openmetrics] takes a list). *)
+          each decision, and a [Metrics] recorder's instruments
+          ([Sim.Observer.instruments]) fill the search metrics from
+          it. *)
 }
 
 val make : name:string -> decide:(context -> Workload.Job.t list) -> t
-(** A policy without a probe or metrics ([probe = metrics = None]). *)
+(** A policy without a probe ([probe = None]). *)
 
 val profile_of : context -> Cluster.Profile.t
 (** Availability profile implied by the running set at [ctx.now]. *)

@@ -5,13 +5,7 @@ let r_star_name = function
   | Requested -> "R*=R"
   | Predicted -> "R*=pred"
 
-type queue_sample = { time : float; length : int }
-
-type result = {
-  outcomes : Metrics.Outcome.t list;
-  queue_samples : queue_sample list;
-  decisions : int;
-}
+type result = { outcomes : Metrics.Outcome.t list; decisions : int }
 
 type event = Arrival of Workload.Job.t | Finish of int
 
@@ -83,7 +77,6 @@ let run ?(machine = Cluster.Machine.titan) ?(observers = []) ~r_star ~policy
     !waiting
   in
   let outcomes = ref [] in
-  let queue_samples = ref [] in
   let decisions = ref 0 in
   let start_job now (j : Workload.Job.t) =
     if not (Hashtbl.mem waiting_ids j.id) then
@@ -133,39 +126,13 @@ let run ?(machine = Cluster.Machine.titan) ?(observers = []) ~r_star ~policy
         let to_start = policy.Sched.Policy.decide ctx in
         incr decisions;
         List.iter (start_job now) to_start;
-        let queue = Hashtbl.length waiting_ids in
-        queue_samples := { time = now; length = queue } :: !queue_samples;
         (match observers with
         | [] -> ()
         | _ ->
-            Observer.decision observers ~now ~queue
+            Observer.decision observers ~now
+              ~queue:(Hashtbl.length waiting_ids)
               ~started:(List.length to_start) ~waiting:(current ()) ~running);
         loop ()
   in
   loop ();
-  {
-    outcomes = List.rev !outcomes;
-    queue_samples = List.rev !queue_samples;
-    decisions = !decisions;
-  }
-
-let windowed_queue_average samples ~from_ ~upto =
-  if upto <= from_ then 0.0
-  else begin
-    let integral = ref 0.0 in
-    let last_time = ref from_ in
-    let last_value = ref 0.0 in
-    List.iter
-      (fun { time; length } ->
-        let t = Float.max from_ (Float.min upto time) in
-        if t > !last_time then
-          integral := !integral +. (!last_value *. (t -. !last_time));
-        if time <= upto then begin
-          last_time := Float.max from_ (Float.min upto time);
-          last_value := float_of_int length
-        end)
-      samples;
-    if upto > !last_time then
-      integral := !integral +. (!last_value *. (upto -. !last_time));
-    !integral /. (upto -. from_)
-  end
+  { outcomes = List.rev !outcomes; decisions = !decisions }

@@ -24,12 +24,8 @@ type r_star =
 
 val r_star_name : r_star -> string
 
-type queue_sample = { time : float; length : int }
-
 type result = {
-  outcomes : Metrics.Outcome.t list;  (** one per job, submit order *)
-  queue_samples : queue_sample list;
-      (** waiting-queue length after each decision, time order *)
+  outcomes : Metrics.Outcome.t list;  (** one per job, start order *)
   decisions : int;
 }
 
@@ -47,7 +43,3 @@ val run :
     simulation.  With the default empty list no observer code runs.
     @raise Invalid_argument if some job is wider than the machine or if
     the policy requests an invalid start. *)
-
-val windowed_queue_average :
-  queue_sample list -> from_:float -> upto:float -> float
-(** Time-weighted average queue length within a window. *)

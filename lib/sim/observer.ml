@@ -44,9 +44,46 @@ let rec demand acc = function
   | [] -> acc
   | (j : Workload.Job.t) :: rest -> demand (acc + j.nodes) rest
 
+(* The search instruments, filled from the policy's probe after each
+   decision that searched. *)
+let search_instruments reg (probe : Simcore.Probe.t) =
+  let module M = Simcore.Metrics in
+  let decisions =
+    M.counter reg "schedsim_search_decisions"
+      ~help:"decision points at which the tree search ran"
+  in
+  let nodes =
+    M.counter reg "schedsim_search_nodes"
+      ~help:"search nodes visited across all decisions"
+  in
+  let leaves =
+    M.counter reg "schedsim_search_leaves"
+      ~help:"complete schedules evaluated across all decisions"
+  in
+  let exhausted =
+    M.counter reg "schedsim_search_exhausted"
+      ~help:"decisions whose whole tree fit in the node budget"
+  in
+  let improvements =
+    M.counter reg "schedsim_search_improvements"
+      ~help:"incumbent improvements across all decisions"
+  in
+  let nodes_per_decision =
+    M.histogram reg "schedsim_search_nodes_per_decision"
+      ~help:"search nodes visited per decision point"
+  in
+  fun () ->
+    M.incr decisions;
+    M.add nodes probe.nodes;
+    M.add leaves probe.leaves;
+    if probe.exhausted then M.incr exhausted;
+    M.add improvements probe.improvements;
+    M.observe nodes_per_decision probe.nodes
+
 (* Registered, and so exposed, from the histograms back to the decision
-   counter: the order the OpenMetrics exposition has always had. *)
-let instruments reg =
+   counter, then the search instruments: the order the OpenMetrics
+   exposition has always had. *)
+let instruments ?probe reg =
   let module M = Simcore.Metrics in
   let depth =
     M.histogram reg "schedsim_queue_depth"
@@ -74,14 +111,18 @@ let instruments reg =
   let decisions =
     M.counter reg "schedsim_decisions" ~help:"scheduling decision points"
   in
+  let search = Option.map (search_instruments reg) probe in
   {
     on_decision =
-      (fun ~now:_ ~queue ~started:_ ~waiting ~running ->
+      (fun ~now:_ ~queue ~started:n ~waiting ~running ->
         M.incr decisions;
         M.set queue_jobs queue;
         M.set busy (Cluster.Running_set.busy_nodes running);
         M.set backlog (demand 0 waiting);
-        M.observe depth queue);
+        M.observe depth queue;
+        match search with
+        | Some record when queue + n > 0 -> record ()
+        | _ -> ());
     on_start =
       (fun ~now (j : Workload.Job.t) ->
         M.incr started;

@@ -45,10 +45,16 @@ val finish : t list -> now:float -> Workload.Job.t -> unit
 (** Call one hook of every observer, in list order.  These allocate
     nothing themselves. *)
 
-val instruments : Simcore.Metrics.t -> t
-(** Register the engine's run-health instruments on a fresh registry
+val instruments : ?probe:Simcore.Probe.t -> Simcore.Metrics.t -> t
+(** Register the engine's run-health instruments on a registry
     (decision/start/finish counters, queue/busy/backlog gauges, wait
     and queue-depth histograms, names prefixed [schedsim_]) and record
-    into them, honoring the registry's own switch.
+    into them.  With a [probe] (a searching policy's
+    {!Sched.Policy.t.probe}) it registers the search instruments after
+    them (decision, node, leaf, exhausted and improvement counters and
+    a nodes-per-decision histogram, prefixed [schedsim_search_]) and
+    fills them from the probe after every decision whose queue was
+    non-empty before its starts — the decisions at which the policy
+    searched.
     @raise Invalid_argument if the registry already holds one of the
     names. *)

@@ -13,37 +13,48 @@ type t = {
   decisions : int;
   wall_clock : float;
   utilization : float;
-  queue_samples : Engine.queue_sample list;
+  outcomes : Metrics.Outcome.t list;
   log : Decision_log.t option;
   validation : Schedcheck.Report.t option;
   series : Series.t option;
 }
 
+(* Sum over the outcomes of [weight o] times the length of
+   [enter o, leave o) inside [from_, upto). *)
+let overlap_sum ~from_ ~upto ~enter ~leave ~weight outcomes =
+  List.fold_left
+    (fun acc (o : Metrics.Outcome.t) ->
+      let overlap = Float.min upto (leave o) -. Float.max from_ (enter o) in
+      if overlap > 0.0 then acc +. (overlap *. weight o) else acc)
+    0.0 outcomes
+
 (* Busy node-seconds inside [from_, upto), over machine capacity. *)
 let utilization_of ~machine ~from_ ~upto outcomes =
   let window = upto -. from_ in
   if window <= 0.0 then 0.0
-  else begin
-    let busy =
-      List.fold_left
-        (fun acc (o : Metrics.Outcome.t) ->
-          let overlap =
-            Float.min upto o.finish -. Float.max from_ o.start
-          in
-          if overlap > 0.0 then
-            acc +. (overlap *. float_of_int o.job.Workload.Job.nodes)
-          else acc)
-        0.0 outcomes
-    in
-    busy /. (float_of_int machine.Cluster.Machine.nodes *. window)
-  end
+  else
+    overlap_sum ~from_ ~upto outcomes
+      ~enter:(fun (o : Metrics.Outcome.t) -> o.start)
+      ~leave:(fun (o : Metrics.Outcome.t) -> o.finish)
+      ~weight:(fun (o : Metrics.Outcome.t) -> float_of_int o.job.nodes)
+    /. (float_of_int machine.Cluster.Machine.nodes *. window)
+
+(* Little's identity: a job waits over [submit, start), and submits and
+   starts happen only at decision points, so the summed overlaps over
+   the window are the integral of the engine's queue length. *)
+let queue_average_of ~from_ ~upto outcomes =
+  if upto <= from_ then 0.0
+  else
+    overlap_sum ~from_ ~upto outcomes
+      ~enter:(fun (o : Metrics.Outcome.t) -> o.job.submit)
+      ~leave:(fun (o : Metrics.Outcome.t) -> o.start)
+      ~weight:(fun _ -> 1.0)
+    /. (upto -. from_)
 
 let observer ~(policy : Sched.Policy.t) = function
   | Log l -> Some (Decision_log.observer l ~probe:policy.probe)
   | Series s -> Some (Series.observer s)
-  | Metrics reg ->
-      Option.iter (fun m -> Simcore.Metrics.set_enabled m true) policy.metrics;
-      Some (Observer.instruments reg)
+  | Metrics reg -> Some (Observer.instruments ?probe:policy.probe reg)
   | Validation -> None
 
 let validate ~machine ~r_star ~(policy : Sched.Policy.t) trace outcomes =
@@ -77,11 +88,10 @@ let simulate ?(machine = Cluster.Machine.titan) ?(record = []) ~r_star ~policy
       (fun (o : Metrics.Outcome.t) -> Workload.Trace.in_window trace o.job)
       result.Engine.outcomes
   in
-  let avg_queue_length =
-    Engine.windowed_queue_average result.Engine.queue_samples
-      ~from_:(Workload.Trace.measure_start trace)
-      ~upto:(Workload.Trace.measure_end trace)
-  in
+  let from_ = Workload.Trace.measure_start trace in
+  let upto = Workload.Trace.measure_end trace in
+  let outcomes = result.Engine.outcomes in
+  let avg_queue_length = queue_average_of ~from_ ~upto outcomes in
   {
     policy_name = policy.Sched.Policy.name;
     r_star;
@@ -90,18 +100,13 @@ let simulate ?(machine = Cluster.Machine.titan) ?(record = []) ~r_star ~policy
     class_matrix = Metrics.Class_matrix.compute measured;
     decisions = result.Engine.decisions;
     wall_clock;
-    queue_samples = result.Engine.queue_samples;
+    utilization = utilization_of ~machine ~from_ ~upto outcomes;
+    outcomes;
     log = List.find_map (function Log l -> Some l | _ -> None) record;
     validation;
     series = List.find_map (function Series s -> Some s | _ -> None) record;
-    utilization =
-      utilization_of ~machine
-        ~from_:(Workload.Trace.measure_start trace)
-        ~upto:(Workload.Trace.measure_end trace)
-        result.Engine.outcomes;
   }
 
-let excess t ~threshold = Metrics.Excess.compute ~threshold t.measured
+let queue_average t ~from_ ~upto = queue_average_of ~from_ ~upto t.outcomes
 
-let fcfs_thresholds t =
-  (t.aggregate.Metrics.Aggregate.max_wait, t.aggregate.Metrics.Aggregate.p98_wait)
+let excess t ~threshold = Metrics.Excess.compute ~threshold t.measured

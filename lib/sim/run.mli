@@ -9,9 +9,9 @@ type recorder =
   | Log of Decision_log.t  (** one event per decision point *)
   | Series of Series.t  (** the run-health sampler *)
   | Metrics of Simcore.Metrics.t
-      (** a fresh registry for the engine's [schedsim_*] instruments;
-          the policy's own registry ({!Sched.Policy.t.metrics}) is
-          enabled alongside it *)
+      (** a fresh registry for the engine's [schedsim_*] instruments,
+          plus the [schedsim_search_*] ones when the policy has a
+          probe ({!Observer.instruments}) *)
   | Validation
       (** replay the finished schedule through
           {!Schedcheck.Validator}: differentially for the EASY backfill
@@ -24,17 +24,17 @@ type t = {
   policy_name : string;
   r_star : Engine.r_star;
   measured : Metrics.Outcome.t list;  (** outcomes of in-window jobs *)
-  aggregate : Metrics.Aggregate.t;  (** over [measured]; queue length
-                                        averaged over the window *)
+  aggregate : Metrics.Aggregate.t;
+      (** over [measured]; the queue length is averaged over the
+          window, counting every job that waits there ({!queue_average}) *)
   class_matrix : Metrics.Class_matrix.t;
   decisions : int;
   wall_clock : float;  (** host seconds spent simulating *)
   utilization : float;
       (** fraction of node-time actually used within the measurement
           window (all jobs running there, not only measured ones) *)
-  queue_samples : Engine.queue_sample list;
-      (** waiting-queue length after each decision (whole simulation),
-          for backlog-dynamics analyses *)
+  outcomes : Metrics.Outcome.t list;
+      (** every job's outcome, warm-up and cool-down included *)
   log : Decision_log.t option;  (** the [Log] recorder's log *)
   validation : Schedcheck.Report.t option;
       (** the validation report, when [Validation] was recorded;
@@ -57,10 +57,13 @@ val simulate :
     invariants: the stateful estimator cannot be replayed after the
     fact. *)
 
+val queue_average : t -> from_:float -> upto:float -> float
+(** Time-averaged waiting-queue length over [[from_, upto)] (0 for an
+    empty window): by Little's identity, the sum over every job of the
+    part of its wait [[submit, start)] inside the window, over the
+    window's length.  Submits and starts happen only at decision
+    points, so this is exactly the average of the engine's queue length
+    over the window. *)
+
 val excess : t -> threshold:float -> Metrics.Excess.t
 (** Excessive wait of the measured jobs w.r.t. a threshold. *)
-
-val fcfs_thresholds : t -> float * float
-(** [(max wait, 98th-percentile wait)] of this run — applied to an
-    FCFS-backfill run they are the paper's E^max and E^98% thresholds
-    for the month. *)

@@ -1,20 +1,7 @@
-(* Every instrument holds the bool ref it shares with its registry, so
-   a record call is one load and a branch whatever the instrument kind.
-   Every recorded value is an int, so no call boxes its argument. *)
+(* Every recorded value is an int, so no call boxes its argument. *)
 
-type counter = {
-  c_name : string;
-  c_help : string;
-  c_switch : bool ref;
-  mutable c_value : int;
-}
-
-type gauge = {
-  g_name : string;
-  g_help : string;
-  g_switch : bool ref;
-  mutable g_value : int;
-}
+type counter = { c_name : string; c_help : string; mutable c_value : int }
+type gauge = { g_name : string; g_help : string; mutable g_value : int }
 
 (* Bucket 0 (v <= 0) plus one bucket per magnitude bit: max_int has
    [Sys.int_size - 1 = 62] significant bits, so 63 buckets cover every
@@ -44,7 +31,6 @@ let bucket_hi b =
 type histogram = {
   h_name : string;
   h_help : string;
-  h_switch : bool ref;
   h_counts : int array;  (* length [buckets] *)
   mutable h_count : int;
   mutable h_total : int;
@@ -52,11 +38,9 @@ type histogram = {
 
 type item = Counter of counter | Gauge of gauge | Histogram of histogram
 
-type t = { switch : bool ref; mutable items : item list (* newest first *) }
+type t = { mutable items : item list (* newest first *) }
 
-let create ?(enabled = false) () = { switch = ref enabled; items = [] }
-let enabled t = !(t.switch)
-let set_enabled t v = t.switch := v
+let create () = { items = [] }
 
 let item_name = function
   | Counter c -> c.c_name
@@ -82,12 +66,12 @@ let register t name item =
   t.items <- item :: t.items
 
 let counter t ?(help = "") name =
-  let c = { c_name = name; c_help = help; c_switch = t.switch; c_value = 0 } in
+  let c = { c_name = name; c_help = help; c_value = 0 } in
   register t name (Counter c);
   c
 
 let gauge t ?(help = "") name =
-  let g = { g_name = name; g_help = help; g_switch = t.switch; g_value = 0 } in
+  let g = { g_name = name; g_help = help; g_value = 0 } in
   register t name (Gauge g);
   g
 
@@ -96,7 +80,6 @@ let histogram t ?(help = "") name =
     {
       h_name = name;
       h_help = help;
-      h_switch = t.switch;
       h_counts = Array.make buckets 0;
       h_count = 0;
       h_total = 0;
@@ -105,20 +88,18 @@ let histogram t ?(help = "") name =
   register t name (Histogram h);
   h
 
-let incr c = if !(c.c_switch) then c.c_value <- c.c_value + 1
-let add c n = if !(c.c_switch) then c.c_value <- c.c_value + n
+let incr c = c.c_value <- c.c_value + 1
+let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
 
-let set g v = if !(g.g_switch) then g.g_value <- v
+let set g v = g.g_value <- v
 let gauge_value g = g.g_value
 
 let observe h v =
-  if !(h.h_switch) then begin
-    let b = bucket_of v in
-    h.h_counts.(b) <- h.h_counts.(b) + 1;
-    h.h_count <- h.h_count + 1;
-    h.h_total <- h.h_total + v
-  end
+  let b = bucket_of v in
+  h.h_counts.(b) <- h.h_counts.(b) + 1;
+  h.h_count <- h.h_count + 1;
+  h.h_total <- h.h_total + v
 
 let histogram_count h = h.h_count
 let histogram_total h = h.h_total
@@ -193,6 +174,6 @@ let pp_item fmt = function
       Format.fprintf fmt "%s_count %d@." h.h_name h.h_count;
       Format.fprintf fmt "%s_sum %d@." h.h_name h.h_total
 
-let pp_openmetrics fmt regs =
-  List.iter (fun t -> List.iter (pp_item fmt) (List.rev t.items)) regs;
+let pp_openmetrics fmt t =
+  List.iter (pp_item fmt) (List.rev t.items);
   Format.fprintf fmt "# EOF@."

@@ -2,13 +2,13 @@
 
     A named-metric registry for one simulation run: counters, gauges
     and fixed 63-bucket log2 histograms, plus an OpenMetrics/Prometheus
-    text exposition writer.  A registry is a per-run instance with its
-    own switch — runs executing in parallel on the domain pool each own
-    their registry and never contend.
+    text exposition writer.  A registry is a per-run instance — runs
+    executing in parallel on the domain pool each own their registry
+    and never contend.
 
-    The section-7 observability contract applies: with the registry's
-    switch off every [incr]/[set]/[observe] is a single load plus a
-    predictable branch; with it on, recording writes into preallocated
+    The section-7 observability contract applies: "off" is having no
+    registry (a run records into one only through a [Metrics] recorder
+    of [Sim.Run.simulate]), and recording writes into preallocated
     storage and never allocates per observation (registration
     allocates, observation does not — tested).
 
@@ -16,14 +16,10 @@
     owns the run. *)
 
 type t
-(** A registry: an ordered collection of named instruments sharing one
-    on/off switch. *)
+(** A registry: an ordered collection of named instruments. *)
 
-val create : ?enabled:bool -> unit -> t
-(** Fresh empty registry (default [enabled = false]). *)
-
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
+val create : unit -> t
+(** Fresh empty registry. *)
 
 (** {2 Instruments}
 
@@ -48,17 +44,10 @@ val histogram : t -> ?help:string -> string -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-(** No-ops while the registry's switch is off. *)
-
 val counter_value : counter -> int
-
 val set : gauge -> int -> unit
-(** No-op while the registry's switch is off. *)
-
 val gauge_value : gauge -> int
-
 val observe : histogram -> int -> unit
-(** No-op while the registry's switch is off. *)
 
 val histogram_count : histogram -> int
 (** Observations recorded. *)
@@ -90,11 +79,9 @@ val bucket_hi : int -> int
 
 (** {2 Exposition} *)
 
-val pp_openmetrics : Format.formatter -> t list -> unit
-(** OpenMetrics text exposition of every instrument of every registry,
+val pp_openmetrics : Format.formatter -> t -> unit
+(** OpenMetrics text exposition of every instrument of the registry,
     in registration order, terminated by [# EOF].  Counters expose
     [name_total]; histograms expose cumulative [name_bucket{le="..."}]
     series over the occupied buckets plus [le="+Inf"], [name_count]
-    and [name_sum].  Registries are emitted in list order; callers
-    keep metric names distinct across the registries they expose
-    together. *)
+    and [name_sum]. *)

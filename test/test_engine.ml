@@ -157,22 +157,79 @@ let test_waiting_queue_bookkeeping () =
            trace))
     [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Policy.run_now ]
 
-let test_windowed_queue_average () =
-  let samples =
-    [ { Sim.Engine.time = 0.0; length = 2 };
-      { Sim.Engine.time = 10.0; length = 4 };
-      { Sim.Engine.time = 20.0; length = 0 } ]
+(* The integral of a step function given as (time, value) samples in
+   time order, each value held until the next sample, over [from_, upto). *)
+let step_integral samples ~from_ ~upto =
+  let held t0 t1 q =
+    Float.max 0.0 (Float.min upto t1 -. Float.max from_ t0) *. float_of_int q
   in
-  Alcotest.(check (float 1e-9)) "full window" 3.0
-    (Sim.Engine.windowed_queue_average samples ~from_:0.0 ~upto:20.0);
-  Alcotest.(check (float 1e-9)) "sub window" 4.0
-    (Sim.Engine.windowed_queue_average samples ~from_:10.0 ~upto:20.0);
-  Alcotest.(check (float 1e-9)) "tail extends last value" 0.0
-    (Sim.Engine.windowed_queue_average samples ~from_:20.0 ~upto:30.0);
-  Alcotest.(check (float 1e-9)) "straddling window" 2.0
-    (Sim.Engine.windowed_queue_average samples ~from_:15.0 ~upto:25.0);
-  Alcotest.(check (float 1e-9)) "empty" 0.0
-    (Sim.Engine.windowed_queue_average [] ~from_:0.0 ~upto:10.0)
+  let rec go acc = function
+    | (t0, q) :: ((t1, _) :: _ as rest) -> go (acc +. held t0 t1 q) rest
+    | [ (t0, q) ] -> acc +. held t0 upto q
+    | [] -> acc
+  in
+  go 0.0 samples
+
+(* A window's average queue length, counted two independent ways: each
+   job's wait [submit, start) clipped to the window (Little's identity),
+   and the queue length after each decision held until the next one.
+   The window closes long before the last decision, so the decisions
+   after it must add nothing. *)
+let test_queue_average_exact () =
+  let jobs = Workload.Trace.jobs (Helpers.mini_trace ~seed:6 ~n:40 ()) in
+  let from_ = 1000.0 and upto = 4000.0 in
+  let trace =
+    Workload.Trace.v (Array.to_list jobs) ~measure_start:from_
+      ~measure_end:upto
+  in
+  let run =
+    Sim.Run.simulate ~machine:machine16 ~r_star:Sim.Engine.Actual
+      ~policy:Sched.Backfill.fcfs trace
+  in
+  let samples = ref [] in
+  let observer =
+    {
+      Sim.Observer.none with
+      on_decision =
+        (fun ~now ~queue ~started:_ ~waiting:_ ~running:_ ->
+          samples := (now, queue) :: !samples);
+    }
+  in
+  ignore
+    (Sim.Engine.run ~machine:machine16 ~observers:[ observer ]
+       ~r_star:Sim.Engine.Actual ~policy:Sched.Backfill.fcfs trace);
+  let samples = List.rev !samples in
+  Alcotest.(check bool) "decisions after the window" true
+    (List.exists (fun (t, _) -> t > upto +. 1800.0) samples);
+  let waits ~from_ ~upto =
+    Array.fold_left
+      (fun acc (j : Workload.Job.t) ->
+        let o =
+          List.find
+            (fun (o : Metrics.Outcome.t) -> o.job.id = j.id)
+            run.Sim.Run.outcomes
+        in
+        acc +. Float.max 0.0 (Float.min upto o.start -. Float.max from_ j.submit))
+      0.0 jobs
+  in
+  let check label ~from_ ~upto got =
+    let window = upto -. from_ in
+    Alcotest.(check (float 1e-9))
+      (label ^ ": waits over the window")
+      (waits ~from_ ~upto /. window) got;
+    Alcotest.(check (float 1e-9))
+      (label ^ ": the engine's step function")
+      (step_integral samples ~from_ ~upto /. window)
+      got
+  in
+  Alcotest.(check bool) "some queue in the window" true
+    (run.Sim.Run.aggregate.Metrics.Aggregate.avg_queue_length > 0.0);
+  check "measurement window" ~from_ ~upto
+    run.Sim.Run.aggregate.Metrics.Aggregate.avg_queue_length;
+  check "sub-window" ~from_:2000.0 ~upto:3000.0
+    (Sim.Run.queue_average run ~from_:2000.0 ~upto:3000.0);
+  Alcotest.(check (float 0.0)) "empty window" 0.0
+    (Sim.Run.queue_average run ~from_:3000.0 ~upto:3000.0)
 
 let test_run_wrapper_windows () =
   let trace = Helpers.mini_trace ~seed:6 ~n:40 ~horizon:7200.0 () in
@@ -260,7 +317,7 @@ let suite =
     Alcotest.test_case "waiting queue bookkeeping" `Quick
       test_waiting_queue_bookkeeping;
     Alcotest.test_case "windowed queue average" `Quick
-      test_windowed_queue_average;
+      test_queue_average_exact;
     Alcotest.test_case "run wrapper windows" `Quick test_run_wrapper_windows;
     Alcotest.test_case "utilization bounds" `Quick test_utilization_bounds;
     Alcotest.test_case "utilization exact" `Quick test_utilization_exact;

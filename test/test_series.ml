@@ -1,5 +1,6 @@
-(* Run-health observability: the Simcore.Metrics registry (switch
-   semantics, zero allocation per observation, OpenMetrics exposition),
+(* Run-health observability: the Simcore.Metrics registry (zero
+   allocation per observation, OpenMetrics exposition, the search
+   instruments a run fills from the policy's probe),
    the Sim.Series bounded sampler (deterministic halving invariants,
    engine integration, pool-width independence of exports) and the
    Timeline min/max accessors they report through. *)
@@ -45,7 +46,7 @@ let test_timeline_same_instant () =
 (* --- Metrics registry --- *)
 
 let test_metrics_basics () =
-  let reg = M.create ~enabled:true () in
+  let reg = M.create () in
   let c = M.counter reg "nodes" ~help:"nodes visited" in
   let g = M.gauge reg "queue" in
   let h = M.histogram reg "latency" in
@@ -60,25 +61,6 @@ let test_metrics_basics () =
   Alcotest.(check int) "histogram total" 1007 (M.histogram_total h);
   Alcotest.(check bool) "p50 sane" true (M.histogram_percentile h 50.0 >= 1.0)
 
-let test_metrics_switch () =
-  let reg = M.create () in
-  Alcotest.(check bool) "off by default" false (M.enabled reg);
-  let c = M.counter reg "c" in
-  let g = M.gauge reg "g" in
-  let h = M.histogram reg "h" in
-  M.incr c;
-  M.set g 9;
-  M.observe h 5;
-  Alcotest.(check int) "counter off = no-op" 0 (M.counter_value c);
-  Alcotest.(check int) "gauge off = no-op" 0 (M.gauge_value g);
-  Alcotest.(check int) "histogram off = no-op" 0 (M.histogram_count h);
-  M.set_enabled reg true;
-  M.incr c;
-  Alcotest.(check int) "on after flip" 1 (M.counter_value c);
-  M.set_enabled reg false;
-  M.incr c;
-  Alcotest.(check int) "frozen, not cleared" 1 (M.counter_value c)
-
 let test_metrics_names () =
   let reg = M.create () in
   let _ = M.counter reg "ok_name:x" in
@@ -92,17 +74,18 @@ let test_metrics_names () =
     (Invalid_argument "Metrics: invalid metric name \"1bad\"")
     (fun () -> ignore (M.histogram reg "1bad"))
 
-(* The section-7 contract, both halves: a disabled registry's
-   recording calls allocate nothing (pure load+branch), and an enabled
-   registry records into preallocated storage — also zero words per
-   observation, including the engine instruments' hooks for a decision,
-   a start and a finish. *)
-let metrics_alloc_words ~enabled =
-  let reg = M.create ~enabled () in
+(* The section-7 contract: a registry records into preallocated
+   storage — zero words per observation, including the run instruments'
+   hooks for a decision (engine and search instruments), a start and a
+   finish. *)
+let test_metrics_on_zero_alloc () =
+  let reg = M.create () in
   let c = M.counter reg "c" in
   let g = M.gauge reg "g" in
   let h = M.histogram reg "h" in
-  let observers = [ Sim.Observer.instruments reg ] in
+  let probe = Simcore.Probe.create () in
+  probe.nodes <- 1000;
+  let observers = [ Sim.Observer.instruments ~probe reg ] in
   let running = Cluster.Running_set.create ~machine:Cluster.Machine.titan in
   let job = Helpers.job ~id:1 ~submit:0.0 ~nodes:8 () in
   let waiting = [ job; Helpers.job ~id:2 ~nodes:4 () ] in
@@ -122,15 +105,8 @@ let metrics_alloc_words ~enabled =
   (* warm-up *)
   let before = Gc.minor_words () in
   burn ();
-  Gc.minor_words () -. before
-
-let test_metrics_off_zero_alloc () =
-  Alcotest.(check (float 0.0)) "off adds 0 minor words" 0.0
-    (metrics_alloc_words ~enabled:false)
-
-let test_metrics_on_zero_alloc () =
   Alcotest.(check (float 0.0)) "on adds 0 minor words per observation" 0.0
-    (metrics_alloc_words ~enabled:true)
+    (Gc.minor_words () -. before)
 
 let contains hay needle =
   let n = String.length hay and m = String.length needle in
@@ -138,19 +114,18 @@ let contains hay needle =
   go 0
 
 let test_openmetrics_exposition () =
-  let reg = M.create ~enabled:true () in
+  let reg = M.create () in
   let c = M.counter reg "jobs" ~help:"jobs started" in
   let g = M.gauge reg "queue" in
   let h = M.histogram reg "wait" in
+  let c2 = M.counter reg "search_nodes" in
   M.add c 3;
   M.set g 17;
   List.iter (M.observe h) [ 1; 2; 1000 ];
-  let reg2 = M.create ~enabled:true () in
-  let c2 = M.counter reg2 "search_nodes" in
   M.add c2 5;
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
-  M.pp_openmetrics fmt [ reg; reg2 ];
+  M.pp_openmetrics fmt reg;
   Format.pp_print_flush fmt ();
   let s = Buffer.contents buf in
   List.iter
@@ -317,7 +292,7 @@ let test_engine_feeds_series_and_metrics () =
   let policy = Sched.Backfill.fcfs in
   let plain = Sim.Engine.run ~r_star:Sim.Engine.Actual ~policy trace in
   let series = Sim.Series.create ~policy:"fcfs" () in
-  let metrics = M.create ~enabled:true () in
+  let metrics = M.create () in
   let sampled =
     Sim.Engine.run
       ~observers:[ Sim.Series.observer series; Sim.Observer.instruments metrics ]
@@ -341,7 +316,7 @@ let test_engine_feeds_series_and_metrics () =
   in
   let buf = Buffer.create 2048 in
   let fmt = Format.formatter_of_buffer buf in
-  M.pp_openmetrics fmt [ metrics ];
+  M.pp_openmetrics fmt metrics;
   Format.pp_print_flush fmt ();
   let om = Buffer.contents buf in
   Alcotest.(check bool) "decisions counter" true
@@ -356,26 +331,44 @@ let test_engine_feeds_series_and_metrics () =
   Alcotest.(check bool) "queue drains to 0" true
     (find_line "schedsim_queue_jobs 0" om)
 
+(* The search instruments come from the run's [Metrics] recorder, which
+   reads the policy's probe: they must count what the policy's own
+   [stats] count, local-search nodes included, and a policy without a
+   probe exposes none of them. *)
 let test_search_policy_metrics () =
   let trace = small_trace () in
-  let policy, stats =
-    Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget:200)
+  let exposition policy =
+    let reg = M.create () in
+    ignore
+      (Sim.Run.simulate ~record:[ Metrics reg ] ~r_star:Sim.Engine.Actual
+         ~policy trace);
+    let buf = Buffer.create 2048 in
+    let fmt = Format.formatter_of_buffer buf in
+    M.pp_openmetrics fmt reg;
+    Format.pp_print_flush fmt ();
+    Buffer.contents buf
   in
-  let reg = Option.get policy.Sched.Policy.metrics in
-  M.set_enabled reg true;
-  let _ = Sim.Engine.run ~r_star:Sim.Engine.Actual ~policy trace in
-  let buf = Buffer.create 2048 in
-  let fmt = Format.formatter_of_buffer buf in
-  M.pp_openmetrics fmt [ reg ];
-  Format.pp_print_flush fmt ();
-  let om = Buffer.contents buf in
-  let s = stats () in
-  Alcotest.(check bool) "search decisions exposed" true
-    (contains om
-       (Printf.sprintf "schedsim_search_decisions_total %d" s.decisions));
-  Alcotest.(check bool) "search nodes exposed" true
-    (contains om
-       (Printf.sprintf "schedsim_search_nodes_total %d" s.total_nodes))
+  List.iter
+    (fun local_search ->
+      let policy, stats =
+        Core.Search_policy.policy
+          { (Core.Search_policy.dds_lxf_dynb ~budget:200) with local_search }
+      in
+      let om = exposition policy in
+      let s = stats () in
+      let label = if local_search then "+ls " else "" in
+      List.iter
+        (fun (name, value) ->
+          let line = Printf.sprintf "schedsim_search_%s_total %d" name value in
+          Alcotest.(check bool) (label ^ line) true (contains om line))
+        [
+          ("decisions", s.decisions);
+          ("nodes", s.total_nodes);
+          ("leaves", s.total_leaves);
+        ])
+    [ false; true ];
+  Alcotest.(check bool) "fcfs-bf exposes no search metric" false
+    (contains (exposition Sched.Backfill.fcfs) "schedsim_search_")
 
 (* --- report rendering --- *)
 
@@ -471,10 +464,7 @@ let suite =
       test_timeline_same_instant;
     Alcotest.test_case "metrics counter/gauge/histogram" `Quick
       test_metrics_basics;
-    Alcotest.test_case "metrics registry switch" `Quick test_metrics_switch;
     Alcotest.test_case "metric name validation" `Quick test_metrics_names;
-    Alcotest.test_case "metrics off adds zero allocation" `Quick
-      test_metrics_off_zero_alloc;
     Alcotest.test_case "metrics on adds zero allocation" `Quick
       test_metrics_on_zero_alloc;
     Alcotest.test_case "openmetrics exposition format" `Quick

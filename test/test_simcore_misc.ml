@@ -121,22 +121,6 @@ let test_dist_bernoulli_extremes () =
 
 (* --- Stats --- *)
 
-let test_running_stats () =
-  let r = Stats.Running.create () in
-  List.iter (Stats.Running.add r) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats.Running.count r);
-  feq "mean" 2.5 (Stats.Running.mean r);
-  feq "sum" 10.0 (Stats.Running.sum r);
-  feq "min" 1.0 (Stats.Running.min r);
-  feq "max" 4.0 (Stats.Running.max r);
-  feq ~eps:1e-6 "stddev" (sqrt 1.25) (Stats.Running.stddev r)
-
-let test_running_empty () =
-  let r = Stats.Running.create () in
-  feq "mean of empty" 0.0 (Stats.Running.mean r);
-  Alcotest.check_raises "min of empty" (Invalid_argument "Stats.Running.min: empty")
-    (fun () -> ignore (Stats.Running.min r))
-
 let test_percentile () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   feq "p0" 1.0 (Stats.percentile xs 0.0);
@@ -211,8 +195,6 @@ let suite =
     Alcotest.test_case "categorical" `Quick test_dist_categorical;
     Alcotest.test_case "categorical invalid" `Quick test_dist_categorical_invalid;
     Alcotest.test_case "bernoulli extremes" `Quick test_dist_bernoulli_extremes;
-    Alcotest.test_case "running stats" `Quick test_running_stats;
-    Alcotest.test_case "running stats empty" `Quick test_running_empty;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "percentile pure" `Quick test_percentile_does_not_mutate;
     Alcotest.test_case "timeline average" `Quick test_timeline;

@@ -37,7 +37,7 @@ let test_bucket_edges () =
   Alcotest.(check int) "negative -> 0" 0 (M.bucket_of (-5))
 
 let test_histogram_observe_percentile () =
-  let h = M.histogram (M.create ~enabled:true ()) "latency" in
+  let h = M.histogram (M.create ()) "latency" in
   Alcotest.(check (float 0.0)) "empty percentile" 0.0
     (M.histogram_percentile h 50.0);
   List.iter (M.observe h) [ 1; 2; 4; 8; 1000; 1000 ];
@@ -149,7 +149,7 @@ let test_probe_allocates_nothing () =
   let w_off, n_off = alloc_words ~observers:[] ~budget:9000 () in
   let probe = Simcore.Probe.create () in
   let observers =
-    [ Sim.Observer.instruments (Simcore.Metrics.create ~enabled:true ()) ]
+    [ Sim.Observer.instruments (Simcore.Metrics.create ()) ]
   in
   let w_on, n_on = alloc_words ~probe ~observers ~budget:9000 () in
   Alcotest.(check int) "same traversal" n_off n_on;
