@@ -470,12 +470,12 @@ let suite =
     Alcotest.test_case "openmetrics exposition format" `Quick
       test_openmetrics_exposition;
     QCheck_alcotest.to_alcotest downsampling_qcheck;
-    Alcotest.test_case "halving to stride 8 matches the model" `Quick
-      test_series_halving_exact;
     Alcotest.test_case "observe rejects backwards time" `Quick
       test_series_time_backwards;
     Alcotest.test_case "excess threshold and summaries" `Quick
       test_series_excess_and_summary;
+    Alcotest.test_case "halving to stride 8 matches the model" `Quick
+      test_series_halving_exact;
     Alcotest.test_case "engine feeds series and instruments" `Quick
       test_engine_feeds_series_and_metrics;
     Alcotest.test_case "search policy exposes its registry" `Quick
